@@ -35,7 +35,7 @@ from repro.core.export import (
 from repro.core.stats import PipelineStats
 from repro.core.counter import (
     PerfCounterClock,
-    ThreadCounter,
+    ProcessCounter,
     VirtualCounter,
 )
 from repro.core.errors import (
@@ -128,6 +128,7 @@ __all__ = [
     "MethodStats",
     "PerfCounterClock",
     "PipelineStats",
+    "ProcessCounter",
     "QuerySession",
     "RecordColumns",
     "Recorder",
@@ -138,7 +139,6 @@ __all__ = [
     "SharedLog",
     "TEEPerf",
     "TEEPerfError",
-    "ThreadCounter",
     "ThreadLogWriter",
     "VirtualCounter",
     "decode_columns",

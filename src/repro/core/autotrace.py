@@ -50,10 +50,10 @@ class AutoTracer:
         self.program = InstrumentedProgram("auto")
         self._scope = self._normalise_scope(scope)
         self._decision_by_code = {}
+        self._layout_lock = threading.Lock()
         self.log = None
         self.counter = None
         self.offset = 0  # relocation offset of the loaded image
-        self.events = 0
 
     def flush(self):
         """Hooks-interface parity: the tracer appends per event and
@@ -77,8 +77,20 @@ class AutoTracer:
         """The image address for this frame's code; None = not traced."""
         code = frame.f_code
         cached = self._decision_by_code.get(code)
-        if cached is not None:
-            return cached or None  # 0 encodes "skipped"
+        if cached is None:
+            # First sight of this code object: lay it out under the
+            # lock, so two threads meeting it at once lay it out once.
+            with self._layout_lock:
+                cached = self._decision_by_code.get(code)
+                if cached is None:
+                    cached = self._layout(frame)
+                    self._decision_by_code[code] = cached
+        return cached or None  # 0 encodes "skipped"
+
+    def _layout(self, frame):
+        """Decide whether `frame`'s code is traced and lay it out;
+        returns its link address, or 0 when it is skipped."""
+        code = frame.f_code
         module = frame.f_globals.get("__name__", "")
         traced = not module.startswith(_SKIP_MODULES)
         if traced and self._scope is not None:
@@ -88,34 +100,32 @@ class AutoTracer:
         if traced and code.co_name in self._SYNTHETIC:
             traced = False
         if not traced:
-            self._decision_by_code[code] = 0
-            return None
-        pretty = f"{_sanitise(module)}::{_sanitise(code.co_qualname)}" if (
-            hasattr(code, "co_qualname")
-        ) else f"{_sanitise(module)}::{_sanitise(code.co_name)}"
-        try:
-            symbol_name = mangle(pretty)
-        except MangleError:
-            symbol_name = _sanitise(pretty)
-        base = symbol_name
+            return 0
+        name = getattr(code, "co_qualname", code.co_name)
+        base = pretty = f"{_sanitise(module)}::{_sanitise(name)}"
+        # Same-named functions (two lambdas of one module) get a suffix
+        # on the readable name, before mangling, so each demangles.
         suffix = 1
-        while symbol_name in self.program.image.symtab:
+        while True:
+            try:
+                symbol_name = mangle(pretty)
+            except MangleError:
+                symbol_name = _sanitise(pretty)
+            if symbol_name not in self.program.image.symtab:
+                break
             suffix += 1
-            symbol_name = f"{base}_{suffix}"
-        addr = self.program.image.add_function(
+            pretty = f"{base}_{suffix}"
+        return self.program.image.add_function(
             symbol_name,
             size=max(16, len(code.co_code)),
             file=code.co_filename,
             line=code.co_firstlineno,
         )
-        self._decision_by_code[code] = addr
-        return addr
 
     def hook(self, frame, event, arg):
         if event == "call":
             addr = self._traced_addr(frame)
             if addr is not None:
-                self.events += 1
                 call_site = 0
                 if self.log.entry_size > 24 and frame.f_back is not None:
                     parent = self._decision_by_code.get(frame.f_back.f_code)
@@ -131,7 +141,6 @@ class AutoTracer:
         elif event == "return":
             addr = self._decision_by_code.get(frame.f_code)
             if addr:
-                self.events += 1
                 self.log.append(
                     KIND_RET,
                     self.counter.read(),
@@ -161,7 +170,7 @@ class AutoRecorder(LiveRecorder):
         self.tracer.log = self.log
         self.tracer.counter = self.counter
         self.tracer.offset = self.loaded.offset
-        self.hooks = self.tracer  # events counter lives on the tracer
+        self.hooks = self.tracer  # stop() and persist() flush through it
         threading.setprofile(self.tracer.hook)
         sys.setprofile(self.tracer.hook)
 

@@ -12,15 +12,22 @@ plus ``ticks_to_ns``):
 * :class:`VirtualCounter` — simulation mode; reads quantise the calling
   thread's virtual time to the counter resolution, and starting it
   reserves a machine core just as the real loop would.
-* :class:`ThreadCounter` — live mode; an actual Python thread bumping
-  an attribute in a loop.  The GIL makes its resolution coarse, which
-  is faithfully reported through :meth:`resolution_ns`.
+* :class:`ProcessCounter` — live mode; a child interpreter increments
+  word 0 of a page shared through ``mmap``, and the measured code only
+  reads it.  The child owns one core while recording (it never holds
+  the recorded program's GIL, so it keeps ticking while the program
+  runs) and costs about 20 ms to start.
 * :class:`PerfCounterClock` — live mode when a "hardware" counter is
   acceptable: ``time.perf_counter_ns``.
 """
 
-import threading
+import mmap
+import os
+import subprocess
+import sys
+import tempfile
 import time
+import weakref
 
 from repro.core.errors import RecorderError
 
@@ -28,6 +35,27 @@ from repro.core.errors import RecorderError
 # granularity of the paper's tight-loop counter as seen by a reader on
 # another core.
 DEFAULT_RESOLUTION_CYCLES = 8.0
+
+
+# Seconds ProcessCounter.start waits for the first tick, and stop for
+# the child to exit.
+_TIMEOUT_S = 10.0
+
+# The counter process: argv carries the shared page's fd and the
+# recorder's pid.  Word 0 is the tick, word 1 the stop request; between
+# checks of either (and of the parent still being alive) it stores 4096
+# ticks.
+_CHILD = """
+import mmap, os, sys
+fd, parent = int(sys.argv[1]), int(sys.argv[2])
+words = memoryview(mmap.mmap(fd, mmap.PAGESIZE)).cast("Q")
+os.close(fd)
+tick = 0
+while not words[1] and os.getppid() == parent:
+    for tick in range(tick + 1, tick + 4097):
+        words[0] = tick
+os._exit(0)
+"""
 
 
 class VirtualCounter:
@@ -83,56 +111,102 @@ class VirtualCounter:
         return self.machine.clock.cycles_to_ns(self.resolution_cycles)
 
 
-class ThreadCounter:
-    """Live-mode counter: a real thread incrementing in a tight loop."""
+class ProcessCounter:
+    """Live-mode counter: a child process incrementing a shared word.
+
+    :meth:`start` maps one page of an unlinked temp file, hands its fd
+    to a fresh interpreter (``subprocess``, never ``os.fork``) and
+    waits until the child's first store lands.  The child increments
+    word 0 until :meth:`stop` sets word 1, or until its parent is gone.
+    A read is one index into :attr:`words`, so the hooks can inline
+    ``words[0]`` instead of calling :meth:`read`.
+    """
 
     def __init__(self):
-        self.value = 0
-        self._stop = threading.Event()
-        self._thread = None
-        self._started_ns = None
-        self._stopped_ns = None
+        self.words = None
+        self._proc = None
+        self._start = None  # (ns, ticks) when ticking was first seen
+        self._end = None  # (ns, ticks) at stop
 
     def start(self):
-        if self._thread is not None:
+        if self._proc is not None:
             raise RecorderError("counter already running")
-        self._stop.clear()
-        self._started_ns = time.perf_counter_ns()
-        self._thread = threading.Thread(
-            target=self._loop, name="tee-perf-counter", daemon=True
-        )
-        self._thread.start()
-
-    def _loop(self):
-        # The attribute store is the shared word; the periodic event
-        # check keeps shutdown prompt without a lock on the hot path.
-        while not self._stop.is_set():
-            value = self.value
-            for _ in range(1024):
-                value += 1
-            self.value = value
+        if not sys.executable:
+            raise RecorderError(
+                "cannot start the software counter process: no Python "
+                "executable (sys.executable is empty)"
+            )
+        try:
+            with tempfile.TemporaryFile() as page:
+                page.truncate(mmap.PAGESIZE)
+                shared = mmap.mmap(page.fileno(), mmap.PAGESIZE)
+                proc = subprocess.Popen(
+                    [sys.executable, "-I", "-S", "-c", _CHILD,
+                     str(page.fileno()), str(os.getpid())],
+                    pass_fds=(page.fileno(),),
+                    stdin=subprocess.DEVNULL,
+                    stdout=subprocess.DEVNULL,
+                    stderr=subprocess.PIPE,
+                )
+        except (OSError, ValueError) as exc:
+            raise RecorderError(
+                f"cannot start the software counter process: {exc}"
+            ) from exc
+        words = memoryview(shared).cast("Q")
+        deadline = time.monotonic() + _TIMEOUT_S
+        while not words[0]:
+            if proc.poll() is not None or time.monotonic() > deadline:
+                proc.kill()
+                _, err = proc.communicate()
+                raise RecorderError(
+                    "software counter process did not start "
+                    f"(exit status {proc.returncode}): "
+                    f"{err.decode(errors='replace').strip()}"
+                )
+            time.sleep(0.0002)
+        self._start = (time.perf_counter_ns(), words[0])
+        self._end = None
+        self.words = words
+        self._proc = proc
+        # A counter dropped without stop() still stops its child.
+        weakref.finalize(self, words.__setitem__, 1, 1)
 
     def stop(self):
-        if self._thread is None:
+        proc = self._proc
+        if proc is None:
             raise RecorderError("counter not running")
-        self._stop.set()
-        self._thread.join()
-        self._thread = None
-        self._stopped_ns = time.perf_counter_ns()
+        words = self.words
+        self._end = (time.perf_counter_ns(), words[0])
+        words[1] = 1
+        self._proc = None
+        try:
+            proc.communicate(timeout=_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.communicate()
+            raise RecorderError(
+                "software counter process ignored stop; killed it"
+            ) from None
 
     @property
     def running(self):
-        return self._thread is not None
+        return self._proc is not None
 
     def read(self):
-        return self.value
+        return self.words[0]
 
     def ticks_to_ns(self, ticks):
-        """Calibrated after the run: wall time divided by total ticks."""
-        if not self.value or self._started_ns is None:
+        """Calibrated from wall time over ticks elapsed (to stop, or to
+        now while running)."""
+        if self._start is None:
             return 0.0
-        end = self._stopped_ns or time.perf_counter_ns()
-        return ticks * (end - self._started_ns) / self.value
+        start_ns, start_ticks = self._start
+        end_ns, end_ticks = self._end or (
+            time.perf_counter_ns(), self.words[0]
+        )
+        if end_ticks <= start_ticks:
+            return 0.0
+        return ticks * (end_ns - start_ns) / (end_ticks - start_ticks)
 
     def resolution_ns(self):
         return self.ticks_to_ns(1)

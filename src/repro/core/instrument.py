@@ -31,7 +31,12 @@ import inspect
 import threading
 
 from repro.core.errors import TEEPerfError
-from repro.core.log import KIND_CALL, KIND_RET, ThreadLogWriter
+from repro.core.log import (
+    FLAG_ACTIVE,
+    KIND_CALL,
+    KIND_RET,
+    ThreadLogWriter,
+)
 from repro.symbols import BinaryImage, mangle
 
 _NO_INSTRUMENT = "__tee_no_instrument__"
@@ -391,37 +396,66 @@ class SimHooks:
 class LiveHooks:
     """Injected-code implementation for live (real-time) mode.
 
-    ``threading.get_ident`` and ``counter.read`` are bound once at
-    construction — the per-event path does no global/attribute-chain
-    lookups — and ``writer_block > 0`` (the live default, via
-    :class:`~repro.core.recorder.LiveRecorder`) batches entries
-    through per-thread writers.
+    :attr:`on_event` is one closure built at construction.  Per event
+    it reads the ACTIVE bit straight from the log's header word (so a
+    flag flipped through another mapping of the log is honoured),
+    looks up the calling thread's append in a cache keyed by thread id
+    — a per-thread :class:`~repro.core.log.ThreadLogWriter` when
+    ``writer_block > 0`` (the live default, via
+    :class:`~repro.core.recorder.LiveRecorder`), else the log's own
+    per-event append — and takes the tick from the counter: inline
+    from the shared word of a
+    :class:`~repro.core.counter.ProcessCounter`, through ``read()``
+    for any other counter.
     """
 
-    __slots__ = ("log", "counter", "events", "pool", "_read",
-                 "_get_ident")
+    __slots__ = ("log", "counter", "pool", "on_event")
 
     def __init__(self, log, counter, writer_block=0):
         self.log = log
         self.counter = counter
-        self.events = 0
         self.pool = (
             _WriterPool(log, writer_block) if writer_block else None
         )
-        self._read = counter.read
-        self._get_ident = threading.get_ident
+        self.on_event = self._build_on_event()
 
-    def on_event(self, kind, addr):
-        if not self.log.active:
-            return
-        self.events += 1
-        tid = self._get_ident()
-        if self.pool is not None:
-            self.pool.writer_for(tid).append(
-                kind, self._read(), addr, tid
-            )
+    def _build_on_event(self):
+        log, pool = self.log, self.pool
+        if log._words is not None:
+            flags, slot = log._words, 1
+        else:  # non-native byte order: the flags mirror, index 0
+            flags, slot = log._flags_mirror, 0
+        appends = {}
+
+        def append_for(tid):
+            append = pool.writer_for(tid).append if pool else log.append
+            appends[tid] = append
+            return append
+
+        ticks = getattr(self.counter, "words", None)
+        if ticks is not None:
+
+            def on_event(kind, addr, _flags=flags, _slot=slot,
+                         _get_ident=threading.get_ident,
+                         _appends=appends, _ticks=ticks):
+                if not _flags[_slot] & FLAG_ACTIVE:
+                    return
+                tid = _get_ident()
+                append = _appends.get(tid) or append_for(tid)
+                append(kind, _ticks[0], addr, tid)
+
         else:
-            self.log.append(kind, self._read(), addr, tid)
+
+            def on_event(kind, addr, _flags=flags, _slot=slot,
+                         _get_ident=threading.get_ident,
+                         _appends=appends, _read=self.counter.read):
+                if not _flags[_slot] & FLAG_ACTIVE:
+                    return
+                tid = _get_ident()
+                append = _appends.get(tid) or append_for(tid)
+                append(kind, _read(), addr, tid)
+
+        return on_event
 
     def flush(self):
         if self.pool is not None:

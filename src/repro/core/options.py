@@ -38,7 +38,9 @@ class RecordOptions:
         Shared-log size in entries, fixed at creation (paper §II-B).
     writer_block:
         Entries per batched per-thread staging block; 0 keeps the
-        per-event append path (byte-deterministic simulated runs).
+        per-event append path.  ``None`` (the default) leaves it to
+        the recorder: 256 entries live, 0 simulated (so simulated runs
+        stay byte-deterministic).
     sealed:
         Crash-consistent sealed segments: committed blocks carry a
         CRC32 seal record and the header's watermark advances (see
@@ -53,7 +55,7 @@ class RecordOptions:
     """
 
     capacity: int = _DEFAULT_CAPACITY
-    writer_block: int = 0
+    writer_block: int = None
     sealed: bool = False
     calls: bool = True
     rets: bool = True
@@ -63,7 +65,7 @@ class RecordOptions:
     def __post_init__(self):
         if self.capacity < 1:
             raise ValueError(f"capacity must be positive: {self.capacity}")
-        if self.writer_block < 0:
+        if self.writer_block is not None and self.writer_block < 0:
             raise ValueError(
                 f"writer_block must be >= 0: {self.writer_block}"
             )
@@ -138,7 +140,8 @@ def add_record_arguments(parser, defaults=RecordOptions()):
         "--writer-block",
         type=int,
         default=defaults.writer_block,
-        help="per-thread batched-writer block size (0 = per-event)",
+        help="per-thread batched-writer block size (0 = per-event; "
+        "default: the recorder's own, 256 live and 0 simulated)",
     )
     parser.add_argument(
         "--sealed",

@@ -12,8 +12,8 @@ Typical simulated-mode use (the evaluation's configuration)::
     print(analysis.report())
     perf.flamegraph().write_svg("out.svg") # stage 4
 
-Live mode profiles real Python code the same way, with a real counter
-thread instead of the virtual clock::
+Live mode profiles real Python code the same way, with a counter
+process on a shared word instead of the virtual clock::
 
     perf = TEEPerf.live()
     perf.compile_module(my_module)

@@ -11,8 +11,9 @@ Two recorders share that lifecycle:
 * :class:`Recorder` — simulation mode, used by the evaluation.  The
   counter is the virtual clock (its loop still costs a core) and every
   instrumentation event charges the platform's per-event cycles.
-* :class:`LiveRecorder` — live mode for real Python programs: a real
-  counter thread and wall-clock-free logging.
+* :class:`LiveRecorder` — live mode for real Python programs: a
+  counter process on a shared word (it runs only between ``start``
+  and ``stop``) and wall-clock-free logging.
 
 Note that the shared log lives in *untrusted host memory*: it is never
 charged against the enclave's EPC, exactly as §II-B requires ("it
@@ -21,7 +22,7 @@ should not increase the TEE's memory, which is usually limited").
 
 import os
 
-from repro.core.counter import ThreadCounter, VirtualCounter
+from repro.core.counter import ProcessCounter, VirtualCounter
 from repro.core.errors import RecorderError
 from repro.core.instrument import LiveHooks, SimHooks
 from repro.core.log import DEFAULT_WRITER_BLOCK, SharedLog, VERSION
@@ -53,13 +54,15 @@ class _RecorderBase:
         options=None,
     ):
         # A RecordOptions object is the one-stop configuration: when
-        # given, it supplies capacity/pid/version/writer_block/sealed
-        # and the event mask, overriding the individual kwargs.
+        # given, it supplies capacity/pid/version/sealed and the event
+        # mask, overriding the individual kwargs; its writer_block
+        # overrides too unless it is None (the recorder's default).
         if options is not None:
             capacity = options.capacity
             pid = options.pid
             version = options.version
-            writer_block = options.writer_block
+            if options.writer_block is not None:
+                writer_block = options.writer_block
             sealed = options.sealed
         if capacity < 1:
             raise ValueError(f"capacity must be positive: {capacity}")
@@ -98,7 +101,7 @@ class _RecorderBase:
             self.log.set_event_mask(
                 calls=self.options.calls, rets=self.options.rets
             )
-        self._start_counter()
+        self.counter.start()
         self.hooks = self._make_hooks()
         self.program.hooks.arm(self.hooks, self.loaded.offset)
         self.log.set_active(True)
@@ -116,7 +119,7 @@ class _RecorderBase:
         # Staged-but-unflushed blocks commit before the tail is stored:
         # events accepted at staging time are never lost to teardown.
         self.hooks.flush()
-        self._stop_counter()
+        self.counter.stop()
         self.log._store_tail()
         # A clean stop leaves the whole committed extent sealed: any
         # region still unsealed in a snapshot therefore belongs to a
@@ -218,12 +221,6 @@ class _RecorderBase:
     def _aslr_seed(self):
         return 1
 
-    def _start_counter(self):
-        raise NotImplementedError
-
-    def _stop_counter(self):
-        raise NotImplementedError
-
     def _make_hooks(self):
         raise NotImplementedError
 
@@ -276,12 +273,6 @@ class Recorder(_RecorderBase):
     def _aslr_seed(self):
         return self._seed
 
-    def _start_counter(self):
-        self.counter.start()
-
-    def _stop_counter(self):
-        self.counter.stop()
-
     def _make_hooks(self):
         return SimHooks(
             self.log,
@@ -295,13 +286,10 @@ class Recorder(_RecorderBase):
 class LiveRecorder(_RecorderBase):
     """Live-mode recorder for real Python programs.
 
-    While recording, the interpreter's thread-switch interval is
-    lowered so the software-counter thread is scheduled often enough to
-    give the counter useful resolution despite the GIL; the previous
-    interval is restored at stop.
+    The default counter is a :class:`~repro.core.counter.ProcessCounter`:
+    its child process is spawned at :meth:`start` and gone by the time
+    :meth:`stop` returns, so it owns a core only while recording.
     """
-
-    SWITCH_INTERVAL = 0.0005
 
     def __init__(
         self,
@@ -321,23 +309,7 @@ class LiveRecorder(_RecorderBase):
             program, capacity, pid, version, monitor, writer_block,
             sealed, options,
         )
-        self.counter = counter or ThreadCounter()
-        self._saved_interval = None
-
-    def _start_counter(self):
-        import sys
-
-        self._saved_interval = sys.getswitchinterval()
-        sys.setswitchinterval(self.SWITCH_INTERVAL)
-        self.counter.start()
-
-    def _stop_counter(self):
-        import sys
-
-        self.counter.stop()
-        if self._saved_interval is not None:
-            sys.setswitchinterval(self._saved_interval)
-            self._saved_interval = None
+        self.counter = counter or ProcessCounter()
 
     def _make_hooks(self):
         return LiveHooks(

@@ -44,11 +44,14 @@ class Sampler:
 class CounterSampler(Sampler):
     """The software counter (stage 2's clock), polled live.
 
-    Works with both counter flavours: :class:`ThreadCounter` reads are
-    a plain attribute load; :class:`VirtualCounter` reads normally
-    require the calling thread to be *simulated*, so from the monitor
-    thread we derive the tick total from the machine's thread-local
-    times instead (a safe, monotone approximation of the same clock).
+    Works with every counter flavour.  A :class:`ProcessCounter` read
+    is one load of the word its child process increments (the child
+    owns one core while recording and costs about 20 ms to start);
+    after ``stop`` it keeps returning the final tick.
+    :class:`VirtualCounter` reads normally require the calling thread
+    to be *simulated*, so from the monitor thread we derive the tick
+    total from the machine's thread-local times instead (a safe,
+    monotone approximation of the same clock).
     """
 
     key = "counter"

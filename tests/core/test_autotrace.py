@@ -128,3 +128,93 @@ def test_auto_handles_lambdas_and_weird_names(app):
     perf.record(module.weird)
     analysis = perf.analyze()
     assert any("lambda" in s.method for s in analysis.methods())
+
+
+def _call_graph_source(levels, width):
+    """A generated module: `width` functions per level, each calling
+    two functions of the next level; ``main`` calls every level-0
+    function once, after a barrier."""
+    lines = []
+    for level in range(levels):
+        for i in range(width):
+            lines.append(f"def f{level}_{i}(x):")
+            if level + 1 < levels:
+                a, b = i, (i * 3 + 1) % width
+                lines.append(
+                    f"    return f{level + 1}_{a}(x) + f{level + 1}_{b}(x)"
+                )
+            else:
+                lines.append("    return x * x")
+    lines += [
+        "def main(barrier):",
+        "    barrier.wait()",
+        "    g = globals()",
+        f"    return sum(g['f0_' + str(i)](i) for i in range({width}))",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _expected_calls(levels, width):
+    calls = {}
+
+    def visit(level, i):
+        calls[f"f{level}_{i}"] = calls.get(f"f{level}_{i}", 0) + 1
+        if level + 1 < levels:
+            visit(level + 1, i)
+            visit(level + 1, (i * 3 + 1) % width)
+
+    for i in range(width):
+        visit(0, i)
+    return calls
+
+
+def test_auto_two_threads_lay_out_each_function_once():
+    """Two threads meeting the same code objects for the first time
+    lay each out once: the recording analyses, with every call."""
+    levels, width, name = 6, 10, "auto_graph"
+    module = types.ModuleType(name)
+    exec(compile(_call_graph_source(levels, width), f"{name}.py", "exec"),
+         module.__dict__)
+    sys.modules[name] = module
+    perf = TEEPerf.auto(scope=name)
+    barrier = threading.Barrier(2)
+
+    def fan_out():
+        threads = [
+            threading.Thread(target=module.main, args=(barrier,))
+            for _ in range(2)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+
+    # Frequent thread switches make both threads meet new functions
+    # at once; the default interval rarely switches mid-layout.
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        perf.record(fan_out)
+    finally:
+        sys.setswitchinterval(saved)
+        sys.modules.pop(name, None)
+    analysis = perf.analyze()
+    for fn, calls in _expected_calls(levels, width).items():
+        assert analysis.method(f"{name}::{fn}()").calls == 2 * calls
+    laid_out = [s.name for s in perf.program.image.symtab if name in s.name]
+    assert len(laid_out) == levels * width + 1  # every f, plus main
+
+
+def test_auto_lists_two_lambdas_of_one_module(app):
+    exec(
+        "square = lambda x: x * x\n"
+        "cube = lambda x: x * x * x\n"
+        "def both():\n"
+        "    return square(3) + cube(3)\n",
+        app.__dict__,
+    )
+    perf = TEEPerf.auto(scope="auto_app")
+    assert perf.record(app.both) == 36
+    names = {s.method for s in perf.analyze().methods()}
+    assert {"auto_app::lambda()", "auto_app::lambda_2()"} <= names

@@ -1,8 +1,13 @@
 """Unit tests for the software counters."""
 
+import os
+import subprocess
+import sys
+import time
+
 import pytest
 
-from repro.core import PerfCounterClock, ThreadCounter, VirtualCounter
+from repro.core import PerfCounterClock, ProcessCounter, VirtualCounter
 from repro.core.errors import RecorderError
 from repro.machine import Machine
 
@@ -49,12 +54,10 @@ def test_virtual_counter_tick_conversion():
     assert counter.resolution_ns() == pytest.approx(2.0)
 
 
-def test_thread_counter_advances_in_real_time():
-    counter = ThreadCounter()
+def test_process_counter_advances_in_real_time():
+    counter = ProcessCounter()
     counter.start()
     try:
-        import time
-
         first = counter.read()
         time.sleep(0.05)
         second = counter.read()
@@ -62,10 +65,15 @@ def test_thread_counter_advances_in_real_time():
         counter.stop()
     assert second > first
     assert counter.resolution_ns() > 0
+    # Stopped: the calibration and the last tick stay readable.
+    assert counter.read() >= second
+    assert counter.ticks_to_ns(10) == pytest.approx(
+        10 * counter.resolution_ns()
+    )
 
 
-def test_thread_counter_lifecycle_errors():
-    counter = ThreadCounter()
+def test_process_counter_lifecycle_errors():
+    counter = ProcessCounter()
     with pytest.raises(RecorderError):
         counter.stop()
     counter.start()
@@ -73,6 +81,78 @@ def test_thread_counter_lifecycle_errors():
         counter.start()
     counter.stop()
     assert not counter.running
+    with pytest.raises(RecorderError):
+        counter.stop()
+
+
+def test_process_counter_start_failure_names_the_cause(monkeypatch):
+    monkeypatch.setattr(sys, "executable", "/nonexistent/python")
+    counter = ProcessCounter()
+    with pytest.raises(RecorderError, match="/nonexistent/python"):
+        counter.start()
+    assert not counter.running
+
+
+def test_process_counter_ticks_while_a_thread_holds_the_gil():
+    """The counter's own process keeps ticking while the reader spins
+    in Python: reads 20 us apart inside a busy loop differ (a counter
+    thread would wait for the GIL, and nearly all pairs would be
+    equal).  A quarter of the pairs leaves room for a loaded host
+    descheduling the child."""
+    counter = ProcessCounter()
+    counter.start()
+    pairs, advanced = 5000, 0
+    try:
+        for _ in range(pairs):
+            first = counter.read()
+            until = time.perf_counter_ns() + 20_000
+            while time.perf_counter_ns() < until:
+                pass
+            advanced += counter.read() > first
+    finally:
+        counter.stop()
+    assert advanced > pairs // 4, f"{advanced} of {pairs} reads advanced"
+
+
+def test_process_counter_child_is_gone_when_stop_returns():
+    counter = ProcessCounter()
+    counter.start()
+    child = counter._proc
+    assert child.poll() is None
+    counter.stop()
+    assert child.poll() is not None
+
+
+def _running(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:  # an exited process nobody has reaped yet is a zombie
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return True
+
+
+def test_process_counter_child_exits_with_its_parent():
+    """A recorder that dies without stop() leaves no spinning child."""
+    script = (
+        "from repro.core.counter import ProcessCounter\n"
+        "counter = ProcessCounter()\n"
+        "counter.start()\n"
+        "print(counter._proc.pid, flush=True)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True,
+        text=True, timeout=60, check=True,
+    ).stdout
+    pid = int(out.split()[-1])
+    deadline = time.monotonic() + 2.0
+    while _running(pid) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not _running(pid)
 
 
 def test_perf_counter_clock_is_monotonic_ns():

@@ -1,6 +1,8 @@
 """Samplers: each live source lands in the registry correctly."""
 
-from repro.core import PipelineStats, ThreadCounter
+import time
+
+from repro.core import PipelineStats, ProcessCounter
 from repro.kvstore.stats import Statistics
 from repro.machine import Machine
 from repro.monitor import (
@@ -15,13 +17,20 @@ from repro.monitor import (
 from repro.tee import SGX_V1, make_env
 
 
-def test_counter_sampler_thread_counter():
-    counter = ThreadCounter()
-    counter.value = 1234  # as if the loop had run
+def test_counter_sampler_process_counter():
+    counter = ProcessCounter()
+    counter.start()
     registry = MetricRegistry()
     CounterSampler(counter).sample(registry)
-    assert registry.value("counter_ticks_total") == 1234
+    assert registry.value("counter_running") == 1
+    first, deadline = counter.read(), time.monotonic() + 10
+    while counter.read() == first and time.monotonic() < deadline:
+        time.sleep(0.001)
+    counter.stop()
+    CounterSampler(counter).sample(registry)
+    assert registry.value("counter_ticks_total") == counter.read() > 0
     assert registry.value("counter_running") == 0
+    assert registry.value("counter_resolution_ns") > 0
 
 
 def test_counter_sampler_virtual_counter_is_host_safe():
@@ -124,6 +133,6 @@ def test_callback_sampler_lands_gauges():
 
 
 def test_sampler_keys_are_stable():
-    assert CounterSampler(ThreadCounter()).key == "counter"
+    assert CounterSampler(ProcessCounter()).key == "counter"
     assert PipelineSampler(None).key == "pipeline"
     assert CallbackSampler("mine", dict).key == "mine"
