@@ -12,9 +12,9 @@ Everything a user of the profiler needs sits behind this module::
 The facade is a *names* contract, not a new layer: every symbol here
 is the same object as its home module's, so isinstance checks and
 monkeypatching keep working.  The home modules remain importable —
-``repro.core.analyzer.Analyzer`` is fine forever — but the package
-re-exports (``from repro.core import TEEPerf``) are deprecated in
-favour of this module and emit :class:`DeprecationWarning`.
+``repro.core.analyzer.Analyzer`` is fine forever — but the
+``repro.core`` package does not re-export these names
+(``from repro.core import TEEPerf`` fails).
 
 What belongs here:
 

@@ -19,10 +19,7 @@ and outlier tags — with two hard guarantees:
 import math
 from dataclasses import dataclass, field
 
-try:  # numpy is the repo's only runtime dependency, but stay graceful
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
+import numpy as _np
 
 __all__ = [
     "SampleStats",
@@ -97,18 +94,6 @@ def outlier_values(samples, cut=OUTLIER_Z):
     )
 
 
-def _quantile(xs, q):
-    """Linear-interpolation quantile of a *sorted* list."""
-    n = len(xs)
-    if n == 1:
-        return xs[0]
-    pos = q * (n - 1)
-    lo = int(math.floor(pos))
-    hi = min(lo + 1, n - 1)
-    frac = pos - lo
-    return xs[lo] * (1.0 - frac) + xs[hi] * frac
-
-
 def bootstrap_ci(samples, level=0.95, resamples=2000, seed=0):
     """Percentile-bootstrap confidence interval for the **median**.
 
@@ -123,21 +108,12 @@ def bootstrap_ci(samples, level=0.95, resamples=2000, seed=0):
     if n == 1 or xs[0] == xs[-1]:
         return xs[0], xs[-1], "degenerate"
     alpha = (1.0 - level) / 2.0
-    if _np is not None:
-        arr = _np.asarray(xs, dtype=float)
-        rng = _np.random.default_rng(seed)
-        idx = rng.integers(0, n, size=(resamples, n))
-        meds = _np.median(arr[idx], axis=1)
-        lo, hi = _np.quantile(meds, [alpha, 1.0 - alpha])
-        return float(lo), float(hi), "bootstrap"
-    import random  # pragma: no cover - exercised only without numpy
-
-    rng = random.Random(seed)
-    meds = sorted(
-        median([xs[rng.randrange(n)] for _ in range(n)])
-        for _ in range(resamples)
-    )
-    return _quantile(meds, alpha), _quantile(meds, 1.0 - alpha), "bootstrap"
+    arr = _np.asarray(xs, dtype=float)
+    rng = _np.random.default_rng(seed)
+    idx = rng.integers(0, n, size=(resamples, n))
+    meds = _np.median(arr[idx], axis=1)
+    lo, hi = _np.quantile(meds, [alpha, 1.0 - alpha])
+    return float(lo), float(hi), "bootstrap"
 
 
 def t_ci(samples, level=0.95):

@@ -16,6 +16,8 @@ import pathlib
 import platform
 import sys
 
+import numpy
+
 from repro.bench.gates import BaselineGate
 from repro.bench.stats import SampleStats
 
@@ -45,18 +47,13 @@ def default_out_dir():
 
 def environment_fingerprint():
     """Enough about the host to interpret (and distrust) the numbers."""
-    try:
-        import numpy
-        numpy_version = numpy.__version__
-    except ImportError:  # pragma: no cover
-        numpy_version = None
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "platform": sys.platform,
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
-        "numpy": numpy_version,
+        "numpy": numpy.__version__,
     }
 
 

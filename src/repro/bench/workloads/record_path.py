@@ -15,10 +15,7 @@ import itertools
 import struct
 import time
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 from repro.api import SharedLog
 from repro.core import KIND_CALL, KIND_RET, ThreadLogWriter
@@ -168,18 +165,11 @@ def build_event_columns(n_events):
     """The write benchmark's event mix, prebuilt as columns — what a
     columnar producer (the fleet ingest path, a simulator batch)
     already holds before the write."""
-    if _np is not None:
-        return (
-            _np.zeros(n_events, dtype=_np.uint64),  # KIND_CALL
-            _np.arange(n_events, dtype=_np.uint64),
-            _np.full(n_events, 0x400000, dtype=_np.uint64),
-            _np.full(n_events, 7, dtype=_np.uint64),
-        )
     return (
-        [KIND_CALL] * n_events,
-        list(range(n_events)),
-        [0x400000] * n_events,
-        [7] * n_events,
+        _np.zeros(n_events, dtype=_np.uint64),  # KIND_CALL
+        _np.arange(n_events, dtype=_np.uint64),
+        _np.full(n_events, 0x400000, dtype=_np.uint64),
+        _np.full(n_events, 7, dtype=_np.uint64),
     )
 
 

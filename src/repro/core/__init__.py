@@ -11,11 +11,10 @@
 :class:`~repro.core.profiler.TEEPerf` ties the stages together.
 
 The user-facing classes — TEEPerf, Analyzer, Recorder, LiveRecorder,
-SharedLog, FlameGraph, open_log — now live behind :mod:`repro.api`;
-importing them from this package still works but emits a
-:class:`DeprecationWarning` naming the replacement.  The supporting
-cast (constants, column codecs, counters, exporters, markers) keeps
-its home here.
+SharedLog, FlameGraph, open_log — live behind :mod:`repro.api` (or
+their home modules, e.g. ``repro.core.analyzer.Analyzer``); this
+package does not re-export them.  The supporting cast (constants,
+column codecs, counters, exporters, markers) keeps its home here.
 """
 
 from repro.core.analyzer import Analysis, CallRecord, MethodStats
@@ -68,40 +67,10 @@ from repro.core.log import (
 )
 from repro.core.query import QuerySession
 
-#: Deprecated package re-exports: name -> home module.
-_DEPRECATED = {
-    "Analyzer": "repro.core.analyzer",
-    "FlameGraph": "repro.core.flamegraph",
-    "LiveRecorder": "repro.core.recorder",
-    "Recorder": "repro.core.recorder",
-    "SharedLog": "repro.core.log",
-    "TEEPerf": "repro.core.profiler",
-    "open_log": "repro.core.log",
-}
-
-
-def __getattr__(name):
-    home = _DEPRECATED.get(name)
-    if home is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        )
-    import importlib
-    import warnings
-
-    warnings.warn(
-        f"importing {name!r} from repro.core is deprecated; use "
-        f"repro.api.{name} (or {home}.{name}) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return getattr(importlib.import_module(home), name)
-
 
 __all__ = [
     "Analysis",
     "AnalysisDiff",
-    "Analyzer",
     "AnalyzerError",
     "MethodDelta",
     "to_callgrind",
@@ -114,13 +83,11 @@ __all__ = [
     "DEFAULT_MMAP_THRESHOLD",
     "DEFAULT_WRITER_BLOCK",
     "ENTRY_SIZE",
-    "FlameGraph",
     "HEADER_SIZE",
     "Instrumenter",
     "InstrumentedProgram",
     "KIND_CALL",
     "KIND_RET",
-    "LiveRecorder",
     "LogColumns",
     "LogEntry",
     "LogFormatError",
@@ -131,19 +98,15 @@ __all__ = [
     "ProcessCounter",
     "QuerySession",
     "RecordColumns",
-    "Recorder",
     "RecorderError",
     "RecoveryError",
     "reconstruct_python",
     "reconstruct_vector",
-    "SharedLog",
-    "TEEPerf",
     "TEEPerfError",
     "ThreadLogWriter",
     "VirtualCounter",
     "decode_columns",
     "fold_stacks",
     "no_instrument",
-    "open_log",
     "symbol",
 ]

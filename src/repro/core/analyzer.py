@@ -13,10 +13,9 @@ method:
 * *exclusive* ("real") time — inclusive minus the time spent in
   callees, the paper's "infer the real time spent in the method".
 
-:meth:`Analyzer.analyze_batch` keeps the original one-entry-at-a-time
-single-pass path; the streaming path is differentially tested to be
-byte-for-byte equivalent to it, and every run carries a
-:class:`~repro.core.stats.PipelineStats` counters object
+Every shard ends as a :class:`~repro.core.reconstruct.RecordColumns`,
+so an :class:`Analysis` is columnar throughout, and every run carries
+a :class:`~repro.core.stats.PipelineStats` counters object
 (``analysis.pipeline``) describing what the pipeline did.
 
 Addresses are runtime addresses; the analyzer recovers the relocation
@@ -38,10 +37,7 @@ Robustness rules, matching §II-B:
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a hard dep in-tree
-    _np = None
+import numpy as _np
 
 from repro.core.columnar import ColumnarLog
 from repro.core.errors import AnalyzerError
@@ -63,11 +59,9 @@ from repro.core.reconstruct import (
     PROCESS_POOL_MIN_ENTRIES,
     CallRecord,
     RecordColumns,
-    ShardOutcome,
     _pool_init,
     _pool_run,
     pack_shard,
-    reconstruct_python,
     run_shard,
 )
 from repro.core.stats import PipelineStats
@@ -95,17 +89,6 @@ class MethodStats:
     max_inclusive: int = None
     threads: set = field(default_factory=set)
 
-    def add(self, record):
-        self.calls += 1
-        self.inclusive += record.inclusive
-        self.exclusive += record.exclusive
-        self.threads.add(record.tid)
-        if self.min_inclusive is None:
-            self.min_inclusive = self.max_inclusive = record.inclusive
-        else:
-            self.min_inclusive = min(self.min_inclusive, record.inclusive)
-            self.max_inclusive = max(self.max_inclusive, record.inclusive)
-
     @property
     def mean_inclusive(self):
         return self.inclusive / self.calls if self.calls else 0.0
@@ -114,24 +97,18 @@ class MethodStats:
 class Analysis:
     """The result object: records, aggregates, frames and reports.
 
-    ``records`` may arrive as a plain :class:`CallRecord` list (the
-    sequential engines) or as a columnar
-    :class:`~repro.core.reconstruct.RecordColumns` (the vector
-    engine).  Either way the public surface is identical; with
-    columns, record objects and the per-method aggregation are built
-    lazily, and the bulk consumers (``folded()``,
-    ``records_frame()``, thread/total aggregates) read the arrays
-    directly without ever materialising records.
+    The calls arrive as a columnar
+    :class:`~repro.core.reconstruct.RecordColumns` (``columns``).
+    Record objects and the per-method aggregation are built lazily,
+    and the bulk consumers (``folded()``, ``records_frame()``,
+    thread/total aggregates, call counts) read the arrays directly
+    without ever materialising records.
     """
 
-    def __init__(self, records, unmatched_returns, tick_ns, meta,
+    def __init__(self, columns, unmatched_returns, tick_ns, meta,
                  locations=None, pipeline=None):
-        if isinstance(records, RecordColumns):
-            self.columns = records
-            self._records = None
-        else:
-            self.columns = None
-            self._records = records
+        self.columns = columns
+        self._records = None
         self.unmatched_returns = unmatched_returns
         self.tick_ns = tick_ns
         self.meta = meta
@@ -144,8 +121,7 @@ class Analysis:
 
     @property
     def records(self):
-        """The :class:`CallRecord` list (materialised on first use
-        when the analysis is columnar)."""
+        """The :class:`CallRecord` list (materialised on first use)."""
         if self._records is None:
             self._records = self.columns.records()
         return self._records
@@ -153,21 +129,13 @@ class Analysis:
     @property
     def _stats(self):
         if self._stats_cache is None:
-            if self.columns is not None:
-                self._stats_cache = self._stats_from_columns()
-            else:
-                self._stats_cache = stats = {}
-                for record in self._records:
-                    per = stats.get(record.method)
-                    if per is None:
-                        per = stats[record.method] = MethodStats(record.method)
-                    per.add(record)
+            self._stats_cache = self._stats_from_columns()
         return self._stats_cache
 
     def _stats_from_columns(self):
-        """Columnar twin of the per-record aggregation loop: bincount
-        the sums, scatter the min/max, one unique pass for the thread
-        sets — same values, same (first-appearance) dict order."""
+        """Per-method aggregation over the columns: bincount the
+        sums, scatter the min/max, one unique pass for the thread
+        sets; methods keep first-appearance order."""
         cols = self.columns
         mids = cols.method_id
         n_methods = len(cols.methods)
@@ -224,29 +192,17 @@ class Analysis:
 
     def threads(self):
         """Thread ids observed, in first-appearance order."""
-        if self.columns is not None:
-            uniq, first = _np.unique(self.columns.tid, return_index=True)
-            return [
-                int(uniq[j])
-                for j in _np.argsort(first, kind="stable").tolist()
-            ]
-        seen, out = set(), []
-        for record in self.records:
-            if record.tid not in seen:
-                seen.add(record.tid)
-                out.append(record.tid)
-        return out
+        uniq, first = _np.unique(self.columns.tid, return_index=True)
+        return [
+            int(uniq[j]) for j in _np.argsort(first, kind="stable").tolist()
+        ]
 
     def total_exclusive(self):
         """Total attributed ticks (sums to total traced time)."""
-        if self.columns is not None:
-            return int(self.columns.exclusive.sum())
-        return sum(r.exclusive for r in self.records)
+        return int(self.columns.exclusive.sum())
 
     def truncated_calls(self):
-        if self.columns is not None:
-            return int(self.columns.truncated.sum())
-        return sum(1 for r in self.records if r.truncated)
+        return int(self.columns.truncated.sum())
 
     def exclusive_fraction(self, name):
         """Share of total traced time spent directly in `name`."""
@@ -261,75 +217,40 @@ class Analysis:
         This is the Flame-Graph input — each invocation contributes its
         *exclusive* ticks to its full call path, so widths nest exactly.
         """
-        if self.columns is not None:
-            cols = self.columns
-            mask = cols.exclusive > 0
-            pids = cols.path_id[mask]
-            if not len(pids):
-                return {}
-            sums = _np.zeros(len(cols.paths), dtype=_np.int64)
-            _np.add.at(sums, pids, cols.exclusive[mask])
-            uniq, first = _np.unique(pids, return_index=True)
-            return {
-                cols.path_tuple(int(uniq[j])): int(sums[uniq[j]])
-                for j in _np.argsort(first, kind="stable").tolist()
-            }
-        folded = {}
-        for record in self.records:
-            if record.exclusive <= 0:
-                continue
-            folded[record.path] = folded.get(record.path, 0) + record.exclusive
-        return folded
+        cols = self.columns
+        mask = cols.exclusive > 0
+        pids = cols.path_id[mask]
+        if not len(pids):
+            return {}
+        sums = _np.zeros(len(cols.paths), dtype=_np.int64)
+        _np.add.at(sums, pids, cols.exclusive[mask])
+        uniq, first = _np.unique(pids, return_index=True)
+        return {
+            cols.path_tuple(int(uniq[j])): int(sums[uniq[j]])
+            for j in _np.argsort(first, kind="stable").tolist()
+        }
 
     # ------------------------------------------------------------------
     # Frames (the declarative query interface builds on these)
 
     def records_frame(self):
-        if self.columns is not None:
-            cols = self.columns
-            methods = cols.methods
-            return Frame(
-                {
-                    "method": [methods[m] for m in cols.method_id.tolist()],
-                    "thread": cols.tid.tolist(),
-                    "caller": [
-                        methods[c] if c >= 0 else None
-                        for c in cols.caller_id.tolist()
-                    ],
-                    "depth": cols.depth.tolist(),
-                    "enter": cols.enter.tolist(),
-                    "exit": cols.exit.tolist(),
-                    "inclusive": cols.inclusive.tolist(),
-                    "exclusive": cols.exclusive.tolist(),
-                    "truncated": cols.truncated.tolist(),
-                }
-            )
-        return Frame.from_records(
-            (
-                {
-                    "method": r.method,
-                    "thread": r.tid,
-                    "caller": r.caller,
-                    "depth": r.depth,
-                    "enter": r.enter,
-                    "exit": r.exit,
-                    "inclusive": r.inclusive,
-                    "exclusive": r.exclusive,
-                    "truncated": r.truncated,
-                }
-                for r in self.records
-            ),
-            columns=[
-                "method",
-                "thread",
-                "caller",
-                "depth",
-                "enter",
-                "exit",
-                "inclusive",
-                "exclusive",
-                "truncated",
-            ],
+        cols = self.columns
+        methods = cols.methods
+        return Frame(
+            {
+                "method": [methods[m] for m in cols.method_id.tolist()],
+                "thread": cols.tid.tolist(),
+                "caller": [
+                    methods[c] if c >= 0 else None
+                    for c in cols.caller_id.tolist()
+                ],
+                "depth": cols.depth.tolist(),
+                "enter": cols.enter.tolist(),
+                "exit": cols.exit.tolist(),
+                "inclusive": cols.inclusive.tolist(),
+                "exclusive": cols.exclusive.tolist(),
+                "truncated": cols.truncated.tolist(),
+            }
         )
 
     def methods_frame(self):
@@ -365,7 +286,7 @@ class Analysis:
         """The sorted per-method table presented to the programmer."""
         total = self.total_exclusive() or 1
         lines = [
-            f"TEE-Perf profile: {len(self.records)} calls, "
+            f"TEE-Perf profile: {len(self.columns)} calls, "
             f"{len(self.threads())} threads, "
             f"{self.meta.get('events', 0)} log entries "
             f"(pid {self.meta.get('pid')})",
@@ -418,9 +339,9 @@ class Analyzer:
         * ``"vector"`` — the whole-shard numpy kernel
           (:func:`~repro.core.reconstruct.reconstruct_vector`);
           anomalous shards transparently fall back to the sequential
-          loop, so the output is always the oracle's;
+          loop, so the output is always the sequential loop's;
         * ``"python"`` — the sequential loop for every shard;
-        * ``"auto"`` (default) — ``"vector"`` when numpy is present.
+        * ``"auto"`` (default) — ``"vector"``.
 
         `recover` handles damaged logs: ``"off"`` trusts the input,
         ``"auto"`` salvages it first (sealed segments verified by
@@ -434,8 +355,8 @@ class Analyzer:
         `options` supplies jobs/chunk_size/engine/recover in one
         object and takes precedence over the individual kwargs.
 
-        Output is field-for-field identical to :meth:`analyze_batch`
-        whatever the engine, jobs or chunk size.
+        Output is field-for-field identical whatever the engine, jobs
+        or chunk size.
         """
         if options is not None:
             jobs = options.jobs
@@ -494,25 +415,6 @@ class Analyzer:
             if opened and isinstance(log, (LogStream, ColumnarLog)):
                 log.close()
 
-    def analyze_batch(self, log, stats=None):
-        """The original single-pass path: the whole log, one entry at
-        a time, one worker.  Kept as the differential-testing oracle
-        for the streaming path (and for callers that hold tiny logs)."""
-        log = self._coerce(log)
-        stats = stats if stats is not None else PipelineStats()
-        stats.jobs = 1
-        stats.engine = "python"
-        stats.chunks_processed += 1
-        per_thread = {}
-        lo = hi = None
-        for entry in log:
-            stats.entries_ingested += 1
-            per_thread.setdefault(entry.tid, []).append(entry)
-            lo = entry.counter if lo is None else min(lo, entry.counter)
-            hi = entry.counter if hi is None else max(hi, entry.counter)
-        stats.counter_span = (hi - lo) if lo is not None else 0
-        return self._finish(log, per_thread, 1, stats)
-
     # ------------------------------------------------------------------
 
     def _shard_columns(self, cols, per_thread):
@@ -523,109 +425,39 @@ class Analyzer:
         that are concatenated once, just before reconstruction.
         """
         tid_col = cols.tid
-        if _np is not None and not isinstance(tid_col, list):
-            uniq, first = _np.unique(tid_col, return_index=True)
-            if len(uniq) == 1:
-                shard = per_thread.get(int(uniq[0]))
-                if shard is None:
-                    shard = per_thread[int(uniq[0])] = []
-                shard.append(
-                    (cols.kind, cols.counter, cols.addr, cols.call_site)
-                )
-                return
-            for j in _np.argsort(first, kind="stable"):
-                t = uniq[j]
-                mask = tid_col == t
-                call_site = (
-                    cols.call_site[mask]
-                    if cols.call_site is not None
-                    else None
-                )
-                shard = per_thread.get(int(t))
-                if shard is None:
-                    shard = per_thread[int(t)] = []
-                shard.append(
-                    (
-                        cols.kind[mask],
-                        cols.counter[mask],
-                        cols.addr[mask],
-                        call_site,
-                    )
-                )
+        uniq, first = _np.unique(tid_col, return_index=True)
+        if len(uniq) == 1:
+            shard = per_thread.setdefault(int(uniq[0]), [])
+            shard.append((cols.kind, cols.counter, cols.addr, cols.call_site))
             return
-        # List-backed fallback (no numpy): group indices per tid.
-        kind, counter, addr, tid, call_site = cols.as_lists()
-        local = {}
-        for i, t in enumerate(tid):
-            bucket = local.get(t)
-            if bucket is None:
-                bucket = local[t] = []
-            bucket.append(i)
-        for t, idxs in local.items():
-            shard = per_thread.get(t)
-            if shard is None:
-                shard = per_thread[t] = []
+        for j in _np.argsort(first, kind="stable"):
+            t = uniq[j]
+            mask = tid_col == t
+            call_site = (
+                cols.call_site[mask] if cols.call_site is not None else None
+            )
+            shard = per_thread.setdefault(int(t), [])
             shard.append(
-                (
-                    [kind[i] for i in idxs],
-                    [counter[i] for i in idxs],
-                    [addr[i] for i in idxs],
-                    [call_site[i] for i in idxs]
-                    if call_site is not None
-                    else None,
-                )
+                (cols.kind[mask], cols.counter[mask], cols.addr[mask],
+                 call_site)
             )
 
     @staticmethod
     def _resolve_engine(engine):
-        """Validate the knob and resolve ``auto`` to a real engine."""
+        """Validate the knob and resolve ``auto`` to ``vector``."""
         if engine not in ENGINES:
             raise AnalyzerError(
                 f"unknown engine {engine!r} (choose from "
                 f"{', '.join(ENGINES)})"
             )
-        if engine == "auto":
-            return "vector" if _np is not None else "python"
-        if engine == "vector" and _np is None:
-            raise AnalyzerError("engine='vector' requires numpy")
-        return engine
-
-    @staticmethod
-    def _concat_segments(segments):
-        """Flatten a shard's segments into four plain-int lists
-        (``call_sites`` is ``None`` for v1 logs)."""
-        kinds, counters, addrs = [], [], []
-        call_sites = [] if segments and segments[0][3] is not None else None
-        for kind, counter, addr, call_site in segments:
-            kinds.extend(
-                kind.tolist() if hasattr(kind, "tolist") else kind
-            )
-            counters.extend(
-                counter.tolist() if hasattr(counter, "tolist") else counter
-            )
-            addrs.extend(
-                addr.tolist() if hasattr(addr, "tolist") else addr
-            )
-            if call_sites is not None:
-                call_sites.extend(
-                    call_site.tolist()
-                    if hasattr(call_site, "tolist")
-                    else call_site
-                )
-        return kinds, counters, addrs, call_sites
+        return "vector" if engine == "auto" else engine
 
     @staticmethod
     def _concat_segment_arrays(segments):
         """Flatten a shard's segments into four numpy arrays — the
-        vector kernel's (and the shard packer's) input shape."""
+        reconstruction kernels' (and the shard packer's) input shape."""
         if len(segments) == 1:
-            kind, counter, addr, call_site = segments[0]
-            return (
-                _np.asarray(kind),
-                _np.asarray(counter),
-                _np.asarray(addr),
-                _np.asarray(call_site) if call_site is not None else None,
-            )
+            return segments[0]
         has_cs = segments[0][3] is not None
         return (
             _np.concatenate([s[0] for s in segments]),
@@ -634,9 +466,8 @@ class Analyzer:
             _np.concatenate([s[3] for s in segments]) if has_cs else None,
         )
 
-    def _finish_columns(self, log, per_thread, jobs, stats,
-                        engine="python"):
-        """Column-shard counterpart of :meth:`_finish`."""
+    def _finish_columns(self, log, per_thread, jobs, stats, engine):
+        """Reconstruct every shard (serially or on a pool) and merge."""
         offset = log.profiler_addr - self.image.profiler_addr
         shards = list(per_thread.items())
         stats.shards_analyzed = len(shards)
@@ -649,7 +480,6 @@ class Analyzer:
         if (
             jobs > 1
             and len(shards) > 1
-            and _np is not None
             and stats.entries_ingested >= PROCESS_POOL_MIN_ENTRIES
         ):
             outcomes = self._run_shards_pooled(shards, jobs, offset, engine)
@@ -657,24 +487,24 @@ class Analyzer:
                 return self._merge(log, outcomes, None, stats)
 
         cache = CachedResolver(self.image.symtab, maxsize=self.cache_size)
-        columnar = engine == "vector"
 
         def run(shard):
             tid, segments = shard
-            if columnar:
-                kinds, counters, addrs, call_sites = (
-                    self._concat_segment_arrays(segments)
-                )
-            else:
-                kinds, counters, addrs, call_sites = self._concat_segments(
-                    segments
-                )
+            kinds, counters, addrs, call_sites = (
+                self._concat_segment_arrays(segments)
+            )
             return run_shard(
                 tid, kinds, counters, addrs, call_sites, offset, cache,
-                engine, columnar,
+                engine,
             )
 
-        outcomes = self._run_shards(run, shards, jobs)
+        if jobs > 1 and len(shards) > 1:
+            with ThreadPoolExecutor(
+                max_workers=min(jobs, len(shards))
+            ) as pool:
+                outcomes = list(pool.map(run, shards))
+        else:
+            outcomes = [run(shard) for shard in shards]
         return self._merge(log, outcomes, cache, stats)
 
     def _run_shards_pooled(self, shards, jobs, offset, engine):
@@ -683,9 +513,10 @@ class Analyzer:
         Each worker gets the symbol table once (through the pool
         initializer) and builds a private :class:`CachedResolver`; a
         shard crosses the process boundary as one packed byte string.
-        Returns ``None`` when a pool cannot be used here (no usable
+        Returns ``None`` when no pool can be created here (no usable
         multiprocessing primitives — e.g. a sandbox without
         semaphores), in which case the caller takes the thread path.
+        A failure inside a worker propagates.
         """
         payloads = []
         for tid, segments in shards:
@@ -696,48 +527,21 @@ class Analyzer:
                 pack_shard(tid, kinds, counters, addrs, call_sites)
             )
         try:
-            with ProcessPoolExecutor(
+            pool = ProcessPoolExecutor(
                 max_workers=min(jobs, len(shards)),
                 initializer=_pool_init,
                 initargs=(
                     self.image.symtab, offset, engine, self.cache_size
                 ),
-            ) as pool:
-                return list(pool.map(_pool_run, payloads))
-        except Exception:
+            )
+        except (ImportError, NotImplementedError, OSError):
             return None
-
-    def _finish(self, log, per_thread, jobs, stats):
-        """Reconstruct every shard (serially or on a pool) and merge."""
-        offset = log.profiler_addr - self.image.profiler_addr
-        cache = CachedResolver(self.image.symtab, maxsize=self.cache_size)
-        shards = list(per_thread.items())
-        stats.shards_analyzed = len(shards)
-
-        def run(shard):
-            tid, entries = shard
-            records, unmatched, mismatches = self._reconstruct_shard(
-                tid, entries, offset, cache
-            )
-            return ShardOutcome(
-                records=records, unmatched=unmatched, mismatches=mismatches
-            )
-
-        outcomes = self._run_shards(run, shards, jobs)
-        return self._merge(log, outcomes, cache, stats)
-
-    @staticmethod
-    def _run_shards(run, shards, jobs):
-        if jobs > 1 and len(shards) > 1:
-            with ThreadPoolExecutor(
-                max_workers=min(jobs, len(shards))
-            ) as pool:
-                return list(pool.map(run, shards))
-        return [run(shard) for shard in shards]
+        with pool:
+            return list(pool.map(_pool_run, payloads))
 
     def _merge(self, log, outcomes, cache, stats):
         # Merge: shard results concatenate in thread first-appearance
-        # order, which is exactly the order the batch path produced.
+        # order.
         unmatched = 0
         mismatches = 0
         synthetic_hits = 0
@@ -749,21 +553,15 @@ class Analyzer:
                 stats.shards_vectorised += 1
             elif stats.engine == "vector":
                 stats.shards_fallback += 1
-        columnar = bool(outcomes) and outcomes[0].columns is not None
-        if columnar:
-            records = RecordColumns.concat([o.columns for o in outcomes])
-            stats.frames_truncated += int(records.truncated.sum())
-        else:
-            records = []
-            for outcome in outcomes:
-                records.extend(outcome.records)
-            stats.frames_truncated += sum(1 for r in records if r.truncated)
+        columns = RecordColumns.concat([o.columns for o in outcomes])
+        stats.frames_truncated += int(columns.truncated.sum())
         stats.entries_dismissed += unmatched
         if cache is not None:
             # In-process pools share `cache`; the vector kernel's
             # unique-address resolves count the per-call resolutions
-            # it *skipped* as hits (the oracle would have answered
-            # them from the LRU), keeping the hit-rate meaningful.
+            # it *skipped* as hits (the sequential loop would have
+            # answered them from the LRU), keeping the hit-rate
+            # meaningful.
             stats.cache_hits += cache.hits + synthetic_hits
             stats.cache_misses += cache.misses
         else:
@@ -784,7 +582,7 @@ class Analyzer:
             sym.pretty: (sym.file, sym.line) for sym in self.image.symtab
         }
         return Analysis(
-            records, unmatched, self.tick_ns, meta, locations, pipeline=stats
+            columns, unmatched, self.tick_ns, meta, locations, pipeline=stats
         )
 
     def _coerce(self, log):
@@ -806,39 +604,3 @@ class Analyzer:
             # rev 1.2 images dispatch to ColumnarLog.
             return open_log(log)
         raise AnalyzerError(f"cannot analyze {type(log).__name__}")
-
-    def _resolve(self, runtime_addr, offset, cache):
-        symbol = cache.resolve(runtime_addr - offset)
-        if symbol is None:
-            return f"[unknown {runtime_addr:#x}]"
-        return symbol.pretty
-
-    def _reconstruct_shard(self, tid, entries, offset, cache):
-        """Reconstruct one thread's stack from its entries.
-
-        Pure with respect to the analyzer — results come back as
-        ``(records, unmatched, callsite_mismatches)`` so shards can run
-        concurrently without sharing mutable state (the resolution
-        cache is the one shared structure, and it locks internally).
-        The loop itself lives in
-        :func:`repro.core.reconstruct.reconstruct_python` — the
-        differential oracle the vector engine is tested against.
-        """
-        return reconstruct_python(
-            tid,
-            [e.kind for e in entries],
-            [e.counter for e in entries],
-            [e.addr for e in entries],
-            [e.call_site for e in entries],
-            offset,
-            cache,
-        )
-
-    def _reconstruct_columns(
-        self, tid, kinds, counters, addrs, call_sites, offset, cache
-    ):
-        """Column-input twin of :meth:`_reconstruct_shard` (kept as
-        the historical name; delegates to the oracle loop)."""
-        return reconstruct_python(
-            tid, kinds, counters, addrs, call_sites, offset, cache
-        )

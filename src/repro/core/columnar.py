@@ -50,18 +50,12 @@ Damage tolerance: every block carries its own CRC32, so salvage
 (:mod:`repro.core.recovery`) quarantines exactly the damaged block —
 `payload_len` lets the scan skip over it and keep every healthy block
 after it.
-
-Without numpy every path falls back to pure-Python loops — slower,
-byte-identical output.
 """
 
 import struct
 import zlib
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a hard dep in-tree
-    _np = None
+import numpy as _np
 
 from repro.core.errors import LogFormatError
 from repro.core.log import (
@@ -103,7 +97,6 @@ _U64 = struct.Struct("<Q")
 _BLOCK_HEADER = struct.Struct("<3Q")  # payload_len, count, crc32
 _DICT_HEADER = struct.Struct("<2Q")  # unique count, packed-unique bytes
 _MAX_VARINT = 10  # ceil(64 / 7)
-_WORD = 1 << 64
 
 
 # ----------------------------------------------------------------------
@@ -111,87 +104,56 @@ _WORD = 1 << 64
 
 def encode_varint(values):
     """Pack a sequence of u64 values as LEB128 varints (one stream)."""
-    if _np is not None:
-        values = _np.ascontiguousarray(values, dtype=_np.uint64)
-        n = len(values)
-        if not n:
-            return b""
-        # Byte count per value: 1 + how many 7-bit shifts stay nonzero.
-        nb = _np.ones(n, dtype=_np.int64)
-        tmp = values >> _np.uint64(7)
-        while tmp.any():
-            nb += tmp != 0
-            tmp >>= _np.uint64(7)
-        ends = _np.cumsum(nb)
-        starts = ends - nb
-        out = _np.zeros(int(ends[-1]), dtype=_np.uint8)
-        for i in range(int(nb.max())):
-            m = nb > i
-            byte = (
-                (values[m] >> _np.uint64(7 * i)) & _np.uint64(0x7F)
-            ).astype(_np.uint8)
-            byte |= (nb[m] > i + 1).astype(_np.uint8) << 7
-            out[starts[m] + i] = byte
-        return out.tobytes()
-    parts = bytearray()
-    for v in values:
-        v = int(v) & (_WORD - 1)
-        while True:
-            byte = v & 0x7F
-            v >>= 7
-            parts.append(byte | 0x80 if v else byte)
-            if not v:
-                break
-    return bytes(parts)
+    values = _np.ascontiguousarray(values, dtype=_np.uint64)
+    n = len(values)
+    if not n:
+        return b""
+    # Byte count per value: 1 + how many 7-bit shifts stay nonzero.
+    nb = _np.ones(n, dtype=_np.int64)
+    tmp = values >> _np.uint64(7)
+    while tmp.any():
+        nb += tmp != 0
+        tmp >>= _np.uint64(7)
+    ends = _np.cumsum(nb)
+    starts = ends - nb
+    out = _np.zeros(int(ends[-1]), dtype=_np.uint8)
+    for i in range(int(nb.max())):
+        m = nb > i
+        byte = (
+            (values[m] >> _np.uint64(7 * i)) & _np.uint64(0x7F)
+        ).astype(_np.uint8)
+        byte |= (nb[m] > i + 1).astype(_np.uint8) << 7
+        out[starts[m] + i] = byte
+    return out.tobytes()
 
 
 def decode_varint(data, count):
     """Decode exactly `count` LEB128 varints; the stream must contain
     neither more nor fewer (:class:`LogFormatError` otherwise)."""
-    if _np is not None:
-        arr = _np.frombuffer(data, dtype=_np.uint8)
-        ends = _np.flatnonzero((arr & 0x80) == 0)
-        if len(ends) != count or (count and ends[-1] != len(arr) - 1) \
-                or (not count and len(arr)):
-            raise LogFormatError(
-                f"malformed varint stream: {len(ends)} terminators in "
-                f"{len(arr)} bytes, expected {count} values"
-            )
-        if not count:
-            return _np.zeros(0, dtype=_np.uint64)
-        starts = _np.empty(count, dtype=_np.int64)
-        starts[0] = 0
-        starts[1:] = ends[:-1] + 1
-        lengths = ends - starts + 1
-        if int(lengths.max()) > _MAX_VARINT:
-            raise LogFormatError(
-                f"varint longer than {_MAX_VARINT} bytes in stream"
-            )
-        out = _np.zeros(count, dtype=_np.uint64)
-        for i in range(int(lengths.max())):
-            m = lengths > i
-            out[m] |= (
-                (arr[starts[m] + i] & _np.uint64(0x7F)).astype(_np.uint64)
-                << _np.uint64(7 * i)
-            )
-        return out
-    out = []
-    value = shift = 0
-    for byte in bytes(data):
-        value |= (byte & 0x7F) << shift
-        if byte & 0x80:
-            shift += 7
-            if shift >= 7 * _MAX_VARINT:
-                raise LogFormatError(
-                    f"varint longer than {_MAX_VARINT} bytes in stream"
-                )
-        else:
-            out.append(value & (_WORD - 1))
-            value = shift = 0
-    if len(out) != count or shift:
+    arr = _np.frombuffer(data, dtype=_np.uint8)
+    ends = _np.flatnonzero((arr & 0x80) == 0)
+    if len(ends) != count or (count and ends[-1] != len(arr) - 1) \
+            or (not count and len(arr)):
         raise LogFormatError(
-            f"malformed varint stream: {len(out)} values decoded, "
-            f"expected {count}"
+            f"malformed varint stream: {len(ends)} terminators in "
+            f"{len(arr)} bytes, expected {count} values"
+        )
+    if not count:
+        return _np.zeros(0, dtype=_np.uint64)
+    starts = _np.empty(count, dtype=_np.int64)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    lengths = ends - starts + 1
+    if int(lengths.max()) > _MAX_VARINT:
+        raise LogFormatError(
+            f"varint longer than {_MAX_VARINT} bytes in stream"
+        )
+    out = _np.zeros(count, dtype=_np.uint64)
+    for i in range(int(lengths.max())):
+        m = lengths > i
+        out[m] |= (
+            (arr[starts[m] + i] & _np.uint64(0x7F)).astype(_np.uint64)
+            << _np.uint64(7 * i)
         )
     return out
 
@@ -203,38 +165,21 @@ def encode_delta(values):
     """Delta + zigzag + varint: near-monotonic u64 columns become
     ~1 byte per entry.  Deltas use wraparound u64 arithmetic, so
     max-u64 values and non-monotonic regressions round-trip exactly."""
-    if _np is not None:
-        values = _np.ascontiguousarray(values, dtype=_np.uint64)
-        if not len(values):
-            return b""
-        deltas = _np.diff(values, prepend=_np.uint64(0))
-        sign = (deltas.view(_np.int64) >> _np.int64(63)).view(_np.uint64)
-        return encode_varint((deltas << _np.uint64(1)) ^ sign)
-    out, prev = [], 0
-    for v in values:
-        v = int(v) & (_WORD - 1)
-        delta = (v - prev) & (_WORD - 1)
-        prev = v
-        # Zigzag the signed interpretation of the wraparound delta.
-        signed = delta - _WORD if delta >> 63 else delta
-        out.append(((signed << 1) ^ (signed >> 63)) & (_WORD - 1))
-    return encode_varint(out)
+    values = _np.ascontiguousarray(values, dtype=_np.uint64)
+    if not len(values):
+        return b""
+    deltas = _np.diff(values, prepend=_np.uint64(0))
+    sign = (deltas.view(_np.int64) >> _np.int64(63)).view(_np.uint64)
+    return encode_varint((deltas << _np.uint64(1)) ^ sign)
 
 
 def decode_delta(data, count):
     """Invert :func:`encode_delta` for exactly `count` values."""
     zig = decode_varint(data, count)
-    if _np is not None:
-        signed = (zig >> _np.uint64(1)).view(_np.int64) ^ -(
-            (zig & _np.uint64(1)).view(_np.int64)
-        )
-        return _np.cumsum(signed.view(_np.uint64), dtype=_np.uint64)
-    out, prev = [], 0
-    for z in zig:
-        delta = (z >> 1) ^ -(z & 1)
-        prev = (prev + delta) & (_WORD - 1)
-        out.append(prev)
-    return out
+    signed = (zig >> _np.uint64(1)).view(_np.int64) ^ -(
+        (zig & _np.uint64(1)).view(_np.int64)
+    )
+    return _np.cumsum(signed.view(_np.uint64), dtype=_np.uint64)
 
 
 # ----------------------------------------------------------------------
@@ -243,13 +188,8 @@ def decode_delta(data, count):
 def encode_dictionary(values):
     """Dictionary-pack a small-alphabet column: the sorted unique
     values delta-packed once, then one varint index per entry."""
-    if _np is not None:
-        values = _np.ascontiguousarray(values, dtype=_np.uint64)
-        uniq, inverse = _np.unique(values, return_inverse=True)
-    else:
-        uniq = sorted({int(v) & (_WORD - 1) for v in values})
-        index = {v: i for i, v in enumerate(uniq)}
-        inverse = [index[int(v) & (_WORD - 1)] for v in values]
+    values = _np.ascontiguousarray(values, dtype=_np.uint64)
+    uniq, inverse = _np.unique(values, return_inverse=True)
     packed = encode_delta(uniq)
     return (
         _DICT_HEADER.pack(len(uniq), len(packed))
@@ -274,21 +214,12 @@ def decode_dictionary(data, count):
         )
     uniq = decode_delta(body[:packed_len], n_uniq)
     idx = decode_varint(body[packed_len:], count)
-    if _np is not None:
-        if count and int(idx.max()) >= n_uniq:
-            raise LogFormatError(
-                f"dictionary index {int(idx.max())} out of range "
-                f"({n_uniq} uniques)"
-            )
-        return uniq[idx]
-    out = []
-    for i in idx:
-        if i >= n_uniq:
-            raise LogFormatError(
-                f"dictionary index {i} out of range ({n_uniq} uniques)"
-            )
-        out.append(uniq[i])
-    return out
+    if count and int(idx.max()) >= n_uniq:
+        raise LogFormatError(
+            f"dictionary index {int(idx.max())} out of range "
+            f"({n_uniq} uniques)"
+        )
+    return uniq[idx]
 
 
 # ----------------------------------------------------------------------
@@ -356,14 +287,6 @@ def _decode_block_payload(payload, count, version):
     return tuple(columns)
 
 
-def _iter_source_columns(source):
-    """(kind, counter, addr, tid, call_site) for a whole log source."""
-    cols = source.columns()
-    if _np is not None:
-        return cols.as_arrays()
-    return cols.as_lists()
-
-
 # ----------------------------------------------------------------------
 # Whole-image encode / decode
 
@@ -387,23 +310,14 @@ def encode_log(source, block_entries=DEFAULT_CODEC_BLOCK,
         raise ValueError(
             f"block_entries must be positive: {block_entries}"
         )
-    kind, counter, addr, tid, call_site = _iter_source_columns(source)
+    kind, counter, addr, tid, call_site = source.columns().as_arrays()
     total = len(kind)
     if sort_by_thread and total:
-        if _np is not None:
-            order = _np.argsort(tid, kind="stable")
-            kind, counter = kind[order], counter[order]
-            addr, tid = addr[order], tid[order]
-            if call_site is not None:
-                call_site = call_site[order]
-        else:
-            order = sorted(range(total), key=tid.__getitem__)
-            kind = [kind[i] for i in order]
-            counter = [counter[i] for i in order]
-            addr = [addr[i] for i in order]
-            tid = [tid[i] for i in order]
-            if call_site is not None:
-                call_site = [call_site[i] for i in order]
+        order = _np.argsort(tid, kind="stable")
+        kind, counter = kind[order], counter[order]
+        addr, tid = addr[order], tid[order]
+        if call_site is not None:
+            call_site = call_site[order]
 
     version = source.version
     # The header travels unchanged except: FLAG_COMPRESSED on, the
@@ -667,40 +581,25 @@ class ColumnarLog:
         ]
         spans = [s for s in spans if len(s)]
         if not spans:
-            empty = [] if _np is None else _np.zeros(0, dtype=_np.uint64)
-            call_site = (
-                None if self._entry_size == 24
-                else ([] if _np is None else _np.zeros(0, dtype=_np.uint64))
-            )
+            empty = _np.zeros(0, dtype=_np.uint64)
+            call_site = None if self._entry_size == 24 else empty
             return LogColumns(empty, empty, empty, empty, call_site, 0)
         if len(spans) == 1:
             return spans[0]
-        if _np is not None:
-            cat = _np.concatenate
-            call_site = (
-                cat([s.call_site for s in spans])
-                if spans[0].call_site is not None
-                else None
-            )
-            return LogColumns(
-                cat([s.kind for s in spans]),
-                cat([s.counter for s in spans]),
-                cat([s.addr for s in spans]),
-                cat([s.tid for s in spans]),
-                call_site,
-                0,
-            )
-        kind, counter, addr, tid = [], [], [], []
-        call_site = [] if spans[0].call_site is not None else None
-        for s in spans:
-            k, c, a, t, cs = s.as_lists()
-            kind.extend(k)
-            counter.extend(c)
-            addr.extend(a)
-            tid.extend(t)
-            if call_site is not None:
-                call_site.extend(cs)
-        return LogColumns(kind, counter, addr, tid, call_site, 0)
+        cat = _np.concatenate
+        call_site = (
+            cat([s.call_site for s in spans])
+            if spans[0].call_site is not None
+            else None
+        )
+        return LogColumns(
+            cat([s.kind for s in spans]),
+            cat([s.counter for s in spans]),
+            cat([s.addr for s in spans]),
+            cat([s.tid for s in spans]),
+            call_site,
+            0,
+        )
 
     def __iter__(self):
         for chunk in self.iter_chunks():

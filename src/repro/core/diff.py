@@ -10,12 +10,9 @@ shrank, Brendan Gregg's red/blue convention.
 
 from dataclasses import dataclass
 
-from repro.core.flamegraph import FlameGraph
+import numpy as _np
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a hard dep in-tree
-    _np = None
+from repro.core.flamegraph import FlameGraph
 
 
 @dataclass(frozen=True)

@@ -316,7 +316,7 @@ def to_metrics(analysis, prefix="teeperf"):
     metric(
         "profile_calls_total", "counter",
         "Completed (or truncated) method invocations.",
-        len(analysis.records),
+        len(analysis.columns),
     )
     metric(
         "profile_threads", "gauge",

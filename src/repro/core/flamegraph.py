@@ -13,10 +13,7 @@ of the analyzer; ours is bigger only because it writes the SVG itself.
 import html
 import zlib
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a hard dep in-tree
-    _np = None
+import numpy as _np
 
 
 class FlameGraph:
@@ -41,7 +38,7 @@ class FlameGraph:
     @classmethod
     def from_analysis(cls, analysis, title="TEE-Perf Flame Graph"):
         columns = getattr(analysis, "columns", None)
-        if columns is not None and len(columns) and _np is not None:
+        if columns is not None and len(columns):
             return cls._from_columns(columns, title)
         return cls(analysis.folded(), title=title)
 

@@ -53,8 +53,8 @@ unsealed images stay byte-for-byte what they always were.
 Reading has a columnar fast path: :func:`decode_columns` turns a span
 of raw entries into :class:`LogColumns` — one array per field
 (kind/counter/addr/tid/call-site), decoded with a single vectorised
-``numpy`` view when numpy is available — and :class:`LogEntry` objects
-are materialised lazily, only where a consumer asks for them.
+``numpy`` view — and :class:`LogEntry` objects are materialised
+lazily, only where a consumer asks for them.
 """
 
 import mmap
@@ -65,17 +65,14 @@ import threading
 import zlib
 from dataclasses import dataclass
 
+import numpy as _np
+
+from repro.core.errors import LogFormatError
+
 # memoryview.cast only knows native formats; the log is little-endian,
 # so the flat word view is valid exactly on little-endian hosts (struct
 # keeps big-endian ones correct, just slower).
 _NATIVE_WORDS = sys.byteorder == "little"
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a hard dep in-tree
-    _np = None
-
-from repro.core.errors import LogFormatError
 
 MAGIC = int.from_bytes(b"TEEPERF\x00", "little")
 HEADER_SIZE = 64
@@ -238,14 +235,13 @@ class LogEntry:
 class LogColumns:
     """A decoded span of the log as structure-of-arrays.
 
-    One sequence per entry field — ``kind``, ``counter``, ``addr``,
-    ``tid`` and (v2 only, else ``None``) ``call_site`` — decoded in one
-    vectorised sweep.  With numpy the columns are ``uint64`` views cut
-    from a single ``frombuffer`` pass; without it they are plain lists
-    from one ``iter_unpack`` sweep.  :class:`LogEntry` objects are only
-    materialised on demand (:meth:`entries`, iteration), so bulk
-    consumers — the analyzer's sharding pass, counters, histograms —
-    never pay the per-entry object cost.
+    One numpy ``uint64`` array per entry field — ``kind``,
+    ``counter``, ``addr``, ``tid`` and (v2 only, else ``None``)
+    ``call_site`` — cut from a single vectorised decode pass.
+    :class:`LogEntry` objects are only materialised on demand
+    (:meth:`entries`, iteration), so bulk consumers — the analyzer's
+    sharding pass, counters, histograms — never pay the per-entry
+    object cost.
 
     ``start`` is the log index of the first decoded entry, so a
     chunked reader can map columns back to absolute positions.
@@ -265,44 +261,24 @@ class LogColumns:
         return len(self.kind)
 
     def as_lists(self):
-        """The columns as plain Python lists (ints), numpy or not.
+        """The columns as plain Python lists (ints).
 
         ``call_site`` stays ``None`` for v1 spans.
         """
-        out = []
-        for col in (self.kind, self.counter, self.addr, self.tid,
-                    self.call_site):
-            if col is None or isinstance(col, list):
-                out.append(col)
-            else:
-                out.append(col.tolist())
-        return out
+        return [col.tolist() if col is not None else None
+                for col in self.as_arrays()]
 
     def as_arrays(self):
-        """The columns as numpy ``uint64`` arrays (converting
-        list-backed spans); the vector reconstruction engine's input
-        shape.  ``call_site`` stays ``None`` for v1 spans.  Raises
-        when numpy is unavailable — callers gate on the engine.
-        """
-        if _np is None:
-            raise LogFormatError("as_arrays() requires numpy")
-        out = []
-        for col in (self.kind, self.counter, self.addr, self.tid,
-                    self.call_site):
-            if col is None:
-                out.append(None)
-            else:
-                out.append(_np.asarray(col, dtype=_np.uint64))
-        return out
+        """The five columns as a list of arrays; ``call_site`` stays
+        ``None`` for v1 spans."""
+        return [self.kind, self.counter, self.addr, self.tid,
+                self.call_site]
 
     def counter_bounds(self):
         """(min, max) counter value in the span; ``None`` when empty."""
         if not len(self.kind):
             return None
-        counter = self.counter
-        if isinstance(counter, list):
-            return min(counter), max(counter)
-        return int(counter.min()), int(counter.max())
+        return int(self.counter.min()), int(self.counter.max())
 
     def entries(self):
         """Materialise the span as :class:`LogEntry` objects."""
@@ -327,8 +303,7 @@ def decode_columns(buf, version, start, count, copy=False):
     The bulk read path shared by :meth:`SharedLog.iter_column_chunks`
     and :meth:`LogStream.column_chunks`: one ``numpy.frombuffer`` view
     reshaped to (count, words) and sliced per field — no per-entry
-    Python work at all.  Falls back to a single ``iter_unpack`` sweep
-    when numpy is unavailable.
+    Python work at all.
 
     With ``copy=True`` the columns are materialised (one vectorised
     memcpy) instead of viewing `buf` — required when `buf` must stay
@@ -337,30 +312,16 @@ def decode_columns(buf, version, start, count, copy=False):
     entry_size = _ENTRY_SIZES[version]
     offset = HEADER_SIZE + start * entry_size
     view = memoryview(buf)[offset : offset + count * entry_size]
-    if _np is not None:
-        words = entry_size // 8
-        mat = _np.frombuffer(view, dtype="<u8").reshape(count, words)
-        if copy:
-            mat = mat.copy()
-            view.release()
-        word0 = mat[:, 0]
-        kind = (word0 >> _np.uint64(63)).astype(_np.uint64)
-        counter = word0 & _np.uint64(COUNTER_MASK)
-        call_site = mat[:, 3] if words == 4 else None
-        return LogColumns(kind, counter, mat[:, 1], mat[:, 2],
-                          call_site, start)
-    kind, counter, addr, tid = [], [], [], []
-    call_site = [] if entry_size == ENTRY_SIZE_V2 else None
-    unpacker = _ENTRY_V2 if entry_size == ENTRY_SIZE_V2 else _ENTRY
-    for fields in unpacker.iter_unpack(view):
-        word0 = fields[0]
-        kind.append(KIND_RET if word0 & _KIND_BIT else KIND_CALL)
-        counter.append(word0 & COUNTER_MASK)
-        addr.append(fields[1])
-        tid.append(fields[2])
-        if call_site is not None:
-            call_site.append(fields[3])
-    return LogColumns(kind, counter, addr, tid, call_site, start)
+    words = entry_size // 8
+    mat = _np.frombuffer(view, dtype="<u8").reshape(count, words)
+    if copy:
+        mat = mat.copy()
+        view.release()
+    word0 = mat[:, 0]
+    kind = (word0 >> _np.uint64(63)).astype(_np.uint64)
+    counter = word0 & _np.uint64(COUNTER_MASK)
+    call_site = mat[:, 3] if words == 4 else None
+    return LogColumns(kind, counter, mat[:, 1], mat[:, 2], call_site, start)
 
 
 def _decode_entries(buf, version, start, count):
@@ -870,18 +831,8 @@ class SharedLog:
         reserved slots — no per-event Python work, no intermediate
         packed ``bytes``.  Rows lost past the capacity boundary are
         counted on :attr:`dropped`.  Returns the number of entries
-        committed.  Without numpy the batch degrades to per-event
-        appends (same bytes, same accounting).
+        committed.
         """
-        if _np is None:
-            committed = 0
-            for i in range(len(kind)):
-                if self.append(
-                    kind[i], counter[i], addr[i], tid[i],
-                    call_site[i] if call_site is not None else 0,
-                ):
-                    committed += 1
-            return committed
         u64 = _np.uint64
         kind = _np.ascontiguousarray(kind, dtype=u64)
         counter = _np.ascontiguousarray(counter, dtype=u64)

@@ -90,8 +90,8 @@ class AnalyzeOptions:
     chunk_size:
         Entries per ingestion chunk (``None`` = the format default).
     engine:
-        Reconstruction kernel: ``"auto"``, ``"vector"`` or
-        ``"python"``.
+        Reconstruction kernel: ``"auto"`` (which means ``"vector"``),
+        ``"vector"`` or ``"python"``.
     recover:
         ``"off"`` (trust the log), ``"auto"`` (salvage damage first,
         attach the report as ``analysis.recovery``) or ``"strict"``
@@ -181,7 +181,7 @@ def add_analyze_arguments(parser, defaults=AnalyzeOptions()):
         choices=list(ENGINES),
         default=defaults.engine,
         help="stack-reconstruction kernel: vectorised numpy passes, "
-        "the sequential loop, or auto (vector when numpy is present)",
+        "the sequential loop, or auto (= vector)",
     )
     parser.add_argument(
         "--recover",

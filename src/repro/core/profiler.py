@@ -201,7 +201,7 @@ class TEEPerf:
         self._analysis = None
         with self.recorder:
             if self.machine is not None:
-                return self.machine.run(entry, *args, **kwargs)
+                return self.machine.run(entry, *args, kwargs=kwargs)
             return entry(*args, **kwargs)
 
     def pause(self):

@@ -115,7 +115,7 @@ class QuerySession:
         analysis = self.analysis
         hottest = analysis.methods()[0] if analysis.methods() else None
         lines = [
-            f"calls: {len(analysis.records)}",
+            f"calls: {len(analysis.columns)}",
             f"threads: {len(analysis.threads())}",
             f"total exclusive ticks: {analysis.total_exclusive()}",
         ]

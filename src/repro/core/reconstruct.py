@@ -18,9 +18,10 @@ that loop plus the structure-of-arrays result type they meet in:
   negative, a truncated tail — return ``None`` and the caller falls
   back to the sequential loop below, which implements the paper's
   full robustness rules.
-* :func:`reconstruct_python` — the sequential, entry-at-a-time loop,
-  kept verbatim in behaviour as the **differential oracle**; the
-  vector kernel is tested field-for-field against it.
+* :func:`reconstruct_python` — the sequential, entry-at-a-time loop:
+  the fallback for anomalous shards and the whole of
+  ``engine="python"``.  The vector kernel is tested field-for-field
+  against it.
 * :class:`RecordColumns` — the columnar result: one array per record
   field with interned method and call-path ids, mirroring
   :class:`~repro.core.log.LogColumns`.  :class:`CallRecord` objects
@@ -35,24 +36,21 @@ that loop plus the structure-of-arrays result type they meet in:
 Equivalence note: a shard is *clean* exactly when its kinds form a
 balanced Dyck word (the running ±1 sum never dips below zero and ends
 at zero) and the structurally paired call/return addresses are equal.
-Under those conditions the oracle takes its fast branch (return
-matches the open stack's top) at every step, closes frames in return
-order, truncates nothing and dismisses nothing — which is precisely
-what the vectorised passes compute.
+Under those conditions the sequential loop takes its fast branch
+(return matches the open stack's top) at every step, closes frames in
+return order, truncates nothing and dismisses nothing — which is
+precisely what the vectorised passes compute.
 """
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a hard dep in-tree
-    _np = None
+import numpy as _np
 
 from repro.core.log import KIND_CALL
 from repro.symbols.symtab import CachedResolver
 
-#: The analyzer's engine knob: resolved to "vector" or "python".
+#: The analyzer's engine knob; ``"auto"`` means ``"vector"``.
 ENGINES = ("auto", "vector", "python")
 
 #: Below this many total entries a process pool costs more than it
@@ -176,8 +174,8 @@ class RecordColumns:
         )
 
     def path_tuple(self, pid):
-        """The call path for one path id, as the oracle's tuple —
-        memoised, so equal paths share one tuple object."""
+        """The call path for one path id, as the sequential loop's
+        tuple — memoised, so equal paths share one tuple object."""
         cached = self._tuples.get(pid)
         if cached is not None:
             return cached
@@ -239,7 +237,7 @@ class RecordColumns:
     @classmethod
     def from_records(cls, records):
         """Columnise a sequential reconstructor's record list (the
-        fallback shard's bridge into the columnar merge).  The
+        sequential shard's bridge into the columnar merge).  The
         original records are kept as the materialisation cache, so
         converting costs no later rebuild."""
         name_id = {}
@@ -359,10 +357,10 @@ def reconstruct_vector(tid, kinds, counters, addrs, call_sites, offset,
     cache.  Returns ``(columns, mismatches, resolutions_requested,
     resolutions_performed)`` — the last two feed the pipeline's
     cache-hit accounting, because the kernel resolves each *unique*
-    address once where the oracle resolves every call event — or
-    ``None`` when the shard is anomalous and must take the sequential
-    fallback (unmatched returns, cross-frame closes, truncated
-    tails).
+    address once where the sequential loop resolves every call event
+    — or ``None`` when the shard is anomalous and must take the
+    sequential fallback (unmatched returns, cross-frame closes,
+    truncated tails).
     """
     n = len(kinds)
     if n == 0:
@@ -446,7 +444,7 @@ def reconstruct_vector(tid, kinds, counters, addrs, call_sites, offset,
 
     # Timing: inclusive per pair, exclusive after one scatter-add of
     # child inclusives onto parents (children always close first, so
-    # the accumulation order matches the oracle's).
+    # the accumulation order matches the sequential loop's).
     counters = _np.asarray(counters).astype(_np.int64, copy=False)
     enter = counters[call_pos]
     exit_ = counters[ret_of_call]
@@ -479,8 +477,8 @@ def reconstruct_vector(tid, kinds, counters, addrs, call_sites, offset,
             paths.append((int(k // width) - 1, int(k % width)))
         path_id[sel] = base + key_inv
 
-    # Records appear in close order — exactly the oracle's append
-    # order for a clean shard.
+    # Records appear in close order — exactly the sequential loop's
+    # append order for a clean shard.
     order = _np.argsort(ret_of_call, kind="stable")
     columns = RecordColumns(
         method_id=mid_arr[order],
@@ -500,7 +498,7 @@ def reconstruct_vector(tid, kinds, counters, addrs, call_sites, offset,
 
 
 # ======================================================================
-# The sequential oracle
+# The sequential loop
 
 
 class _OpenFrame:
@@ -520,9 +518,10 @@ def reconstruct_python(tid, kinds, counters, addrs, call_sites, offset,
                        cache):
     """The sequential, entry-at-a-time reconstruction loop.
 
-    The differential oracle: implements the paper's full robustness
-    rules (truncate frames left open, close intermediates when a
-    return matches a deeper frame, dismiss unmatched returns).  Path
+    Implements the paper's full robustness rules (truncate frames left
+    open, close intermediates when a return matches a deeper frame,
+    dismiss unmatched returns), so it takes every shard the vector
+    kernel declines.  Path
     tuples are interned — records sharing a call path share one tuple
     object — which cuts resident memory on deep, hot call sites
     without changing any record's value.
@@ -601,14 +600,13 @@ def reconstruct_python(tid, kinds, counters, addrs, call_sites, offset,
 class ShardOutcome:
     """What one shard's reconstruction produced, however it ran."""
 
-    columns: object = None  # RecordColumns (columnar merges)
-    records: list = None  # CallRecord list (pure-python merges)
+    columns: RecordColumns
     unmatched: int = 0
     mismatches: int = 0
     vectorised: bool = False
     #: Entry-level resolutions the vector kernel answered from its
-    #: unique-address pass — counted as cache hits, since the oracle
-    #: would have taken them from the LRU.
+    #: unique-address pass — counted as cache hits, since the
+    #: sequential loop would have taken them from the LRU.
     synthetic_hits: int = 0
     #: Filled by pool workers (each has a private cache); ``None``
     #: in-process, where the shared cache is read once at merge.
@@ -617,13 +615,13 @@ class ShardOutcome:
 
 
 def run_shard(tid, kinds, counters, addrs, call_sites, offset, cache,
-              engine, columnar):
-    """Reconstruct one shard with the requested engine.
+              engine):
+    """Reconstruct one shard (numpy ``uint64`` columns) with the
+    resolved engine ("vector" or "python").
 
-    `engine` is the resolved engine ("vector" or "python"); `columnar`
-    selects the merge representation (RecordColumns vs record lists).
-    The vector engine transparently falls back to the sequential
-    oracle on anomalous shards.
+    The vector engine transparently falls back to the sequential loop
+    on anomalous shards; either way the result is a
+    :class:`RecordColumns`.
     """
     if engine == "vector":
         out = reconstruct_vector(
@@ -637,22 +635,15 @@ def run_shard(tid, kinds, counters, addrs, call_sites, offset, cache,
                 vectorised=True,
                 synthetic_hits=requested - performed,
             )
-    if hasattr(kinds, "tolist"):
-        kinds = kinds.tolist()
-        counters = counters.tolist()
-        addrs = addrs.tolist()
-        call_sites = call_sites.tolist() if call_sites is not None else None
     records, unmatched, mismatches = reconstruct_python(
-        tid, kinds, counters, addrs, call_sites, offset, cache
+        tid, kinds.tolist(), counters.tolist(), addrs.tolist(),
+        call_sites.tolist() if call_sites is not None else None,
+        offset, cache,
     )
-    if columnar:
-        return ShardOutcome(
-            columns=RecordColumns.from_records(records),
-            unmatched=unmatched,
-            mismatches=mismatches,
-        )
     return ShardOutcome(
-        records=records, unmatched=unmatched, mismatches=mismatches
+        columns=RecordColumns.from_records(records),
+        unmatched=unmatched,
+        mismatches=mismatches,
     )
 
 
@@ -765,8 +756,7 @@ def _pool_run(payload):
     tid, kinds, counters, addrs, call_sites = unpack_shard(payload)
     before_hits, before_misses = cache.hits, cache.misses
     outcome = run_shard(
-        tid, kinds, counters, addrs, call_sites, offset, cache, engine,
-        columnar=True,
+        tid, kinds, counters, addrs, call_sites, offset, cache, engine
     )
     outcome.hits = cache.hits - before_hits + outcome.synthetic_hits
     outcome.misses = cache.misses - before_misses

@@ -39,6 +39,8 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 
+import numpy as _np
+
 from repro.core.errors import LogFormatError, RecoveryError
 from repro.core.log import (
     FLAG_MULTITHREAD,
@@ -447,14 +449,9 @@ def _recover_columnar(data):
     per_thread = report.salvaged_per_thread
     for _, (kind, counter, addr, tid, call_site) in decoded:
         out.append_columns(kind, counter, addr, tid, call_site)
-        if _columnar._np is not None:
-            uniq, counts = _columnar._np.unique(tid, return_counts=True)
-            for t, c in zip(uniq.tolist(), counts.tolist()):
-                per_thread[t] = per_thread.get(t, 0) + c
-        else:
-            for t in tid:
-                t = int(t)
-                per_thread[t] = per_thread.get(t, 0) + 1
+        uniq, counts = _np.unique(tid, return_counts=True)
+        for t, c in zip(uniq.tolist(), counts.tolist()):
+            per_thread[t] = per_thread.get(t, 0) + c
     out._store_tail()
     return out, report
 

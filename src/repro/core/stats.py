@@ -42,13 +42,13 @@ class PipelineStats:
         Batched-writer blocks committed to the log (0 when the
         recorder ran the per-event append path).
     chunks_processed:
-        Fixed-size ingestion chunks decoded (1 for a batch pass).
+        Fixed-size ingestion chunks decoded.
     shards_analyzed:
         Per-thread shards reconstructed.
     jobs:
         Worker-pool width the shards ran under (1 = serial).
     chunk_size:
-        Entries per ingestion chunk (0 = unchunked batch read).
+        Entries per ingestion chunk (0 until an analysis ran).
     writer_block:
         Entries per batched-writer staging block (0 = per-event
         appends; see :class:`repro.core.log.ThreadLogWriter`).

@@ -16,7 +16,6 @@ interleavings.
 
 import itertools
 import threading
-import warnings
 
 from repro.machine.clock import VirtualClock
 from repro.machine.errors import (
@@ -36,32 +35,7 @@ from repro.machine.schedule import (
     RUNNING as _RUNNING,
 )
 
-#: Names that moved to :mod:`repro.machine.schedule` (the scheduler
-#: owns the thread state machine); old deep imports warn below.
-_MOVED_TO_SCHEDULE = (
-    "NEW",
-    "RUNNABLE",
-    "RUNNING",
-    "BLOCKED",
-    "DONE",
-    "DEFAULT_SPAWN_COST",
-)
-
 _current = threading.local()
-
-
-def __getattr__(name):
-    if name in _MOVED_TO_SCHEDULE:
-        warnings.warn(
-            f"importing {name!r} from repro.machine.machine is "
-            f"deprecated; use repro.machine.schedule.{name} instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.machine import schedule
-
-        return getattr(schedule, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def current_thread():
@@ -264,21 +238,18 @@ class Machine:
         """The simulated thread executing the caller."""
         return current_thread()
 
-    def spawn(self, func, *args, name=None, kwargs=None, **extra):
+    def spawn(self, func, *args, name=None, kwargs=None):
         """Create a new simulated thread running ``func(*args, **kwargs)``.
 
         Keyword arguments for the workload go in the explicit `kwargs`
-        dict, so they can never collide with the spawn's own ``name=``
-        (a workload parameter called ``name`` used to be swallowed).
-        Passing workload keywords loose (``spawn(f, retries=3)``) still
-        works but is deprecated.
+        dict, so they can never collide with the spawn's own ``name=``.
 
         When called from inside a simulated thread, the spawn cost is
         charged to the parent and the child starts at the parent's local
         time.  When called before :meth:`run`, the child starts at time
         zero.
         """
-        kwargs = _merge_workload_kwargs(kwargs, extra, "Machine.spawn")
+        kwargs = dict(kwargs) if kwargs else {}
         if len(self._threads) >= self._max_threads:
             raise TooManyThreadsError(
                 f"thread budget of {self._max_threads} exhausted"
@@ -297,18 +268,17 @@ class Machine:
         thread._real.start()
         return thread
 
-    def run(self, func=None, *args, name="main", kwargs=None, **extra):
+    def run(self, func=None, *args, name="main", kwargs=None):
         """Drive the simulation to completion and return `func`'s result.
 
         `func` (if given) is spawned as the root thread with the
-        workload keywords from the explicit `kwargs` dict (loose
-        keywords are deprecated, as in :meth:`spawn`).  The scheduler
-        then loops until every simulated thread is done, resuming the
-        thread the policy picks at each step.
+        workload keywords from the explicit `kwargs` dict, as in
+        :meth:`spawn`.  The scheduler then loops until every simulated
+        thread is done, resuming the thread the policy picks at each
+        step.
         """
         if self._running:
             raise MachineError("machine is already running")
-        kwargs = _merge_workload_kwargs(kwargs, extra, "Machine.run")
         root = None
         if func is not None:
             root = self.spawn(func, *args, name=name, kwargs=kwargs)
@@ -433,24 +403,3 @@ class Machine:
                 thread.end_time = thread.local_time
                 thread.state = _DONE
 
-
-def _merge_workload_kwargs(kwargs, extra, where):
-    """The spawn/run kwarg-collision shim.
-
-    New call shape: workload keywords arrive in the explicit `kwargs`
-    dict.  Old call shape: loose ``**extra`` keywords still work but
-    warn; explicit `kwargs` wins on a name collision.
-    """
-    if extra:
-        warnings.warn(
-            f"passing workload keyword arguments loose to {where} is "
-            f"deprecated (they collide with the spawn's own name=); "
-            f"pass kwargs={{...}} instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        merged = dict(extra)
-        if kwargs:
-            merged.update(kwargs)
-        return merged
-    return dict(kwargs) if kwargs else {}

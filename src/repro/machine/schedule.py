@@ -27,9 +27,8 @@ thread with the smallest local virtual time.  That line is now a
   feed on.
 
 The thread-state constants (:data:`NEW` … :data:`DONE`) and
-:data:`DEFAULT_SPAWN_COST` moved here from ``repro.machine.machine``
-— the scheduler owns the thread state machine.  The old deep imports
-keep working but warn (see ``repro.machine.machine.__getattr__``).
+:data:`DEFAULT_SPAWN_COST` live here, not in ``repro.machine.machine``
+— the scheduler owns the thread state machine.
 
 Also here: :class:`SyncObserver`, the choice-point hook interface the
 sync primitives report to (lock acquisitions, contention, atomic

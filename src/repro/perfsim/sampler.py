@@ -148,7 +148,7 @@ class PerfSim:
         """
         program.hooks.arm(self.ghost, offset=0)
         try:
-            self.machine.run(entry, *args, **kwargs)
+            self.machine.run(entry, *args, kwargs=kwargs)
         finally:
             program.hooks.disarm()
         return self._post_process(program)

@@ -1,16 +1,16 @@
 """The columnar decode path: LogColumns / decode_columns / open_log.
 
 The bulk reader must agree entry-for-entry with the object-at-a-time
-decode on every log shape, keep working without numpy (the list
-fallback), and — when fed from an mmap-backed LogStream — never pin
-the mapping (columns are copies there, so ``close`` always succeeds).
+decode on every log shape and — when fed from an mmap-backed
+LogStream — never pin the mapping (columns are copies there, so
+``close`` always succeeds).
 """
 
 import pytest
 
 from repro.api import SharedLog, open_log
 from repro.core import DEFAULT_MMAP_THRESHOLD, KIND_CALL, KIND_RET, LogStream
-from repro.core.log import VERSION_2, decode_columns
+from repro.core.log import VERSION_2
 
 
 def sample_log(version=None, n=10):
@@ -80,19 +80,6 @@ def test_kind_bit_survives_large_counters():
     kinds, counters, _, _, _ = cols.as_lists()
     assert kinds == [KIND_RET, KIND_CALL]
     assert counters == [big, big - 1]
-
-
-def test_list_fallback_matches_numpy(monkeypatch):
-    """With numpy gone the decode degrades to lists, not to wrong."""
-    import repro.core.log as logmod
-
-    log = sample_log(VERSION_2)
-    with_np = log.columns().as_lists()
-    monkeypatch.setattr(logmod, "_np", None)
-    without_np = log.columns()
-    assert isinstance(without_np.kind, list)
-    assert without_np.as_lists() == with_np
-    assert without_np.entries() == list(log)
 
 
 # ----------------------------------------------------------------------

@@ -174,6 +174,16 @@ def test_pause_resume_via_active_flag():
     assert analysis.method("wl::ProcessChunk()").calls == 2  # not 3
 
 
+def test_record_passes_keyword_arguments_to_the_entry():
+    perf, workload = build(threads=1, chunks=1)
+
+    def entry(scale, name=""):
+        return workload.run() * scale, name
+
+    # `name` reaches the entry function, not the root thread's name.
+    assert perf.record(entry, 3, name="payload") == (3, "payload")
+
+
 def test_record_before_compile_rejected():
     perf = TEEPerf.simulated()
     with pytest.raises(TEEPerfError):

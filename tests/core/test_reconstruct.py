@@ -8,6 +8,7 @@ oracle's replay, falling back transparently otherwise.
 """
 
 import json
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -187,8 +188,6 @@ def test_engine_python_forces_the_sequential_loop(image):
     assert analysis.pipeline.engine == "python"
     assert analysis.pipeline.shards_vectorised == 0
     assert analysis.pipeline.shards_fallback == 0
-    # The python engine keeps the record-list representation.
-    assert analysis.columns is None
     assert analysis.records[0].method == "main"
 
 
@@ -266,11 +265,7 @@ def test_pack_unpack_shard_roundtrip():
     assert tid == 7 and s is None
 
 
-def test_process_pool_path_matches(image, monkeypatch):
-    # Force the pool for a small log by dropping the entry threshold.
-    monkeypatch.setattr(
-        "repro.core.analyzer.PROCESS_POOL_MIN_ENTRIES", 1
-    )
+def three_thread_events():
     events = []
     for tid in (1, 2, 3):
         for i in range(3):
@@ -281,8 +276,16 @@ def test_process_pool_path_matches(image, monkeypatch):
                 (KIND_RET, 1, base + 20, tid),
                 (KIND_RET, 0, base + 30, tid),
             ]
+    return events
+
+
+def test_process_pool_path_matches(image, monkeypatch):
+    # Force the pool for a small log by dropping the entry threshold.
+    monkeypatch.setattr(
+        "repro.core.analyzer.PROCESS_POOL_MIN_ENTRIES", 1
+    )
     analyzer = Analyzer(image)
-    log = build_log(image, events)
+    log = build_log(image, three_thread_events())
     serial = analyzer.analyze(log, engine="vector")
     for engine in ("vector", "python"):
         pooled = analyzer.analyze(log, jobs=4, engine=engine)
@@ -293,6 +296,70 @@ def test_process_pool_path_matches(image, monkeypatch):
         assert (
             pooled.pipeline.cache_hits + pooled.pipeline.cache_misses > 0
         )
+
+
+def test_process_pool_worker_failure_propagates(image, monkeypatch):
+    """A worker that fails raises out of analyze — it is not rerun on
+    threads behind the caller's back."""
+    monkeypatch.setattr(
+        "repro.core.analyzer.PROCESS_POOL_MIN_ENTRIES", 1
+    )
+    monkeypatch.setattr(
+        "repro.core.analyzer.pack_shard", lambda *args: b"garbage"
+    )
+    log = build_log(image, three_thread_events())
+    with pytest.raises(struct.error):
+        Analyzer(image).analyze(log, jobs=2)
+
+
+def test_process_pool_unavailable_falls_back_to_threads(image, monkeypatch):
+    monkeypatch.setattr(
+        "repro.core.analyzer.PROCESS_POOL_MIN_ENTRIES", 1
+    )
+
+    def no_semaphores(*args, **kwargs):
+        raise NotImplementedError("no working sem_open on this host")
+
+    monkeypatch.setattr(
+        "repro.core.analyzer.ProcessPoolExecutor", no_semaphores
+    )
+    analyzer = Analyzer(image)
+    log = build_log(image, three_thread_events())
+    serial = analyzer.analyze(log)
+    pooled = analyzer.analyze(log, jobs=2)
+    assert pooled.folded() == serial.folded()
+    assert pooled.records == serial.records
+    assert pooled.pipeline.jobs == 2
+
+
+@pytest.mark.parametrize(
+    "options",
+    [{"engine": "vector"}, {"engine": "python"}, {"jobs": 3},
+     {"jobs": 3, "engine": "python"}],
+    ids=["vector", "python", "jobs3", "jobs3-python"],
+)
+@pytest.mark.parametrize("events", [three_thread_events(), []],
+                         ids=["traced", "empty"])
+def test_analysis_is_always_columnar(image, options, events):
+    analysis = Analyzer(image).analyze(build_log(image, events), **options)
+    assert isinstance(analysis.columns, RecordColumns)
+    assert len(analysis.columns) == len(analysis.records) == len(events) // 2
+
+
+def test_call_counts_read_the_columns(image, monkeypatch):
+    """report(), to_metrics() and QuerySession.summary() count calls
+    without building one CallRecord per call."""
+    analysis = Analyzer(image).analyze(
+        build_log(image, three_thread_events())
+    )
+
+    def no_records(self):
+        raise AssertionError("CallRecord objects were materialised")
+
+    monkeypatch.setattr(RecordColumns, "records", no_records)
+    assert analysis.report().startswith("TEE-Perf profile: 18 calls, ")
+    assert "\nteeperf_profile_calls_total 18\n" in to_metrics(analysis)
+    assert "calls: 18" in QuerySession(analysis).summary()
 
 
 # ----------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 The streaming pipeline (chunked ingestion + sharded, optionally
 parallel reconstruction + LRU symbolisation) must be byte-for-byte
-equivalent to the original single-pass batch analyzer on every log the
-repository knows how to produce — v1 and v2, single- and multi-thread,
-truncated, dismissed, relocated and unknown-address logs.
+equivalent to the single-pass batch analysis in
+:mod:`tests.oracles.batch` on every log the repository knows how to
+produce — v1 and v2, single- and multi-thread, truncated, dismissed,
+relocated and unknown-address logs.
 """
 
 import json
@@ -17,6 +18,7 @@ from repro.api import Analyzer, SharedLog
 from repro.core import KIND_CALL, KIND_RET, LogStream, PipelineStats, to_json
 from repro.core.log import VERSION_2
 from repro.symbols import BinaryImage, CachedResolver
+from tests.oracles.batch import analyze_batch
 
 
 @pytest.fixture
@@ -143,7 +145,7 @@ def assert_equivalent(batch, streamed):
 def test_streaming_matches_batch_on_all_fixtures(image, jobs, chunk_size):
     for name, log in fixture_logs(image).items():
         analyzer = Analyzer(image)
-        batch = analyzer.analyze_batch(log)
+        batch = analyze_batch(analyzer, log)
         streamed = analyzer.analyze(log, jobs=jobs, chunk_size=chunk_size)
         assert_equivalent(batch, streamed)
 
@@ -155,7 +157,7 @@ def test_streaming_matches_batch_from_disk(image, tmp_path, jobs):
         path = tmp_path / f"{name}.teeperf"
         log.dump(str(path))
         analyzer = Analyzer(image)
-        batch = analyzer.analyze_batch(SharedLog.load(str(path)))
+        batch = analyze_batch(analyzer, SharedLog.load(str(path)))
         streamed = analyzer.analyze(str(path), jobs=jobs, chunk_size=2)
         assert_equivalent(batch, streamed)
 
@@ -192,7 +194,7 @@ def test_streaming_matches_batch_property(events, jobs):
         log.append(kind, counter, image.symtab.by_name(name).addr, tid)
     analyzer = Analyzer(image)
     assert_equivalent(
-        analyzer.analyze_batch(log),
+        analyze_batch(analyzer, log),
         analyzer.analyze(log, jobs=jobs, chunk_size=7),
     )
 

@@ -1,7 +1,6 @@
 """The pluggable scheduler layer (repro.machine.schedule)."""
 
 import unittest
-import warnings
 
 from repro.machine import (
     LivelockError,
@@ -133,18 +132,13 @@ class TestMachineSchedulingSurface(unittest.TestCase):
         self.assertEqual(ctx.exception.steps, 10)
         self.assertIn("spin", "".join(ctx.exception.live))
 
-    def test_moved_constants_warn_on_deep_import(self):
+    def test_moved_constants_are_gone_from_machine(self):
         import repro.machine.machine as legacy
 
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            value = legacy.RUNNABLE
-        self.assertEqual(value, "runnable")
-        self.assertEqual(len(caught), 1)
-        self.assertTrue(
-            issubclass(caught[0].category, DeprecationWarning)
-        )
-        self.assertIn("repro.machine.schedule.RUNNABLE", str(caught[0].message))
+        for name in ("NEW", "RUNNABLE", "RUNNING", "BLOCKED", "DONE",
+                     "DEFAULT_SPAWN_COST"):
+            with self.assertRaises(AttributeError):
+                getattr(legacy, name)
 
     def test_moved_constants_live_in_schedule(self):
         from repro.machine import schedule
@@ -170,27 +164,16 @@ class TestSpawnKwargs(unittest.TestCase):
         # spawn's thread name.
         self.assertEqual(seen, {"a": 1, "b": 2, "name": "payload"})
 
-    def test_loose_kwargs_warn_but_work(self):
+    def test_loose_kwargs_are_rejected(self):
         machine = Machine(cores=1)
-        seen = {}
 
         def worker(b=0):
-            seen["b"] = b
+            pass
 
-        def main():
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                machine.spawn(worker, b=5).join()
-            self.assertTrue(
-                any(
-                    issubclass(w.category, DeprecationWarning)
-                    and "kwargs=" in str(w.message)
-                    for w in caught
-                )
-            )
-
-        machine.run(main)
-        self.assertEqual(seen["b"], 5)
+        with self.assertRaises(TypeError):
+            machine.spawn(worker, b=5)
+        with self.assertRaises(TypeError):
+            machine.run(worker, b=5)
 
     def test_run_accepts_kwargs_dict(self):
         machine = Machine(cores=1)

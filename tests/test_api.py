@@ -4,9 +4,9 @@ Three contracts:
 
 * :mod:`repro.api` exports every supported name, and each one is the
   *same object* as its home module's (no wrapper layer);
-* the old deep-import paths (``from repro.core import TEEPerf``) keep
-  working but emit a :class:`DeprecationWarning` naming the
-  replacement;
+* the retired deep-import paths (``from repro.core import TEEPerf``)
+  fail outright — :mod:`repro.api` or the home module is the only
+  spelling;
 * :class:`RecordOptions` / :class:`AnalyzeOptions` are the single
   definition the CLI builds its flags from — no drift between
   subcommands.
@@ -91,12 +91,13 @@ def test_package_lazy_attributes():
         "open_log",
     ],
 )
-def test_deep_import_warns_and_still_works(name):
+def test_retired_deep_import_raises(name):
     import repro.core
 
-    with pytest.warns(DeprecationWarning, match=f"repro.api.{name}"):
-        value = getattr(repro.core, name)
-    assert value is getattr(repro.api, name)
+    with pytest.raises(AttributeError):
+        getattr(repro.core, name)
+    assert name not in repro.core.__all__
+    assert getattr(repro.api, name) is not None
 
 
 def test_supporting_names_do_not_warn():
@@ -114,6 +115,14 @@ def test_unknown_core_attribute_raises():
 
     with pytest.raises(AttributeError):
         repro.core.definitely_not_a_name
+
+
+def test_core_star_import_resolves_every_name():
+    namespace = {}
+    exec("from repro.core import *", namespace)
+    import repro.core
+
+    assert set(repro.core.__all__) <= set(namespace)
 
 
 # ---------------------------------------------------------------------------
