@@ -31,12 +31,7 @@ import inspect
 import threading
 
 from repro.core.errors import TEEPerfError
-from repro.core.log import (
-    FLAG_ACTIVE,
-    KIND_CALL,
-    KIND_RET,
-    ThreadLogWriter,
-)
+from repro.core.log import KIND_CALL, KIND_RET, ThreadLogWriter
 from repro.symbols import BinaryImage, mangle
 
 _NO_INSTRUMENT = "__tee_no_instrument__"
@@ -77,9 +72,12 @@ def symbol_name_for(func, prefix=None):
 class HookSlot:
     """The globally accessible variable of the paper's injected code.
 
-    Wrappers read :attr:`impl` once per invocation; the recorder arms
-    it at start-up and clears it at teardown.  ``offset`` is the
-    relocation offset of the loaded image.  Instead of adding it to
+    Wrappers read :attr:`impl` once per invocation, then its
+    ``on_event`` once, and call that for the CALL and the RET; the
+    recorder arms the slot at start-up and clears it at teardown.  An
+    impl is any object with ``on_event(kind, addr)`` and ``flush()``
+    (:class:`LiveHooks` resolves ``on_event`` per thread).  ``offset``
+    is the relocation offset of the loaded image.  Instead of adding it to
     the link-time address on every event, each wrapper registers an
     *address cell* at instrumentation time and :meth:`arm` precomputes
     ``link_addr + offset`` into every cell — the hot path reads one
@@ -172,13 +170,15 @@ def _function_size(func):
 
 
 def _make_wrapper(func, link_addr, hooks):
-    # The armed impl is captured ONCE per invocation: the CALL and its
-    # RET always go to the same hooks object, so a recorder disarming
-    # (or arming) mid-call can never log one half of the pair — the
-    # analyzer sees balanced per-thread logs, with ACTIVE alone
-    # deciding whether either event lands.  The runtime address comes
-    # from a cell the slot relocates at arm time, so the hot path is
-    # two list-index reads and no arithmetic.
+    # The armed impl's on_event is captured ONCE per invocation: the
+    # CALL and its RET always go to the same hooks object (and, live,
+    # to the same thread's hook), so a recorder disarming (or arming)
+    # mid-call can never log one half of the pair — the analyzer sees
+    # balanced per-thread logs, with ACTIVE alone deciding whether
+    # either event lands.  The runtime address comes from a cell the
+    # slot relocates at arm time, so the hot path is two list-index
+    # reads and no arithmetic.  The wrapper is the only frame between
+    # caller and callee; a live event runs one more frame, the hook.
     cell = hooks.register(link_addr)
 
     @functools.wraps(func)
@@ -186,12 +186,13 @@ def _make_wrapper(func, link_addr, hooks):
         impl = hooks.impl
         if impl is None:
             return func(*args, **kwargs)
+        on_event = impl.on_event
         addr = cell[0]
-        impl.on_event(KIND_CALL, addr)
+        on_event(KIND_CALL, addr)
         try:
             return func(*args, **kwargs)
         finally:
-            impl.on_event(KIND_RET, addr)
+            on_event(KIND_RET, addr)
 
     setattr(wrapper, _NO_INSTRUMENT, True)  # never instrument twice
     wrapper.__tee_wrapped__ = func
@@ -303,14 +304,13 @@ class Instrumenter:
         return self.program
 
 
-class _WriterPool:
+class WriterPool:
     """Per-thread :class:`~repro.core.log.ThreadLogWriter` bookkeeping
     shared by both hook implementations.
 
-    A hooks object is shared by every thread, so the batched path
-    keys writers by thread id; the last ``(tid, writer)`` pair is
-    cached because the overwhelmingly common case is a run of events
-    from one thread.
+    A hooks object is shared by every thread, so writers are keyed by
+    thread id; the last ``(tid, writer)`` pair is cached because the
+    overwhelmingly common case is a run of events from one thread.
     """
 
     __slots__ = ("log", "writer_block", "_writers", "_last")
@@ -340,9 +340,6 @@ class _WriterPool:
         for writer in list(self._writers.values()):
             writer.flush()
 
-    def writers(self):
-        return list(self._writers.values())
-
     def blocks_flushed(self):
         return sum(w.blocks_flushed for w in self._writers.values())
 
@@ -359,8 +356,8 @@ class SimHooks:
     per-event appends — same per-thread bytes, amortised reservation.
     """
 
-    __slots__ = ("log", "counter", "machine", "event_cycles", "events",
-                 "pool", "_read", "_current")
+    __slots__ = ("log", "counter", "machine", "event_cycles", "pool",
+                 "_read", "_current")
 
     def __init__(self, log, counter, machine, event_cycles,
                  writer_block=0):
@@ -368,9 +365,8 @@ class SimHooks:
         self.counter = counter
         self.machine = machine
         self.event_cycles = event_cycles
-        self.events = 0
         self.pool = (
-            _WriterPool(log, writer_block) if writer_block else None
+            WriterPool(log, writer_block) if writer_block else None
         )
         self._read = counter.read
         self._current = machine.current
@@ -380,7 +376,6 @@ class SimHooks:
             return
         thread = self._current()
         thread.advance(self.event_cycles)
-        self.events += 1
         if self.pool is not None:
             self.pool.writer_for(thread.tid).append(
                 kind, self._read(), addr, thread.tid
@@ -393,70 +388,25 @@ class SimHooks:
             self.pool.flush()
 
 
-class LiveHooks:
+class LiveHooks(threading.local):
     """Injected-code implementation for live (real-time) mode.
 
-    :attr:`on_event` is one closure built at construction.  Per event
-    it reads the ACTIVE bit straight from the log's header word (so a
-    flag flipped through another mapping of the log is honoured),
-    looks up the calling thread's append in a cache keyed by thread id
-    — a per-thread :class:`~repro.core.log.ThreadLogWriter` when
-    ``writer_block > 0`` (the live default, via
-    :class:`~repro.core.recorder.LiveRecorder`), else the log's own
-    per-event append — and takes the tick from the counter: inline
-    from the shared word of a
-    :class:`~repro.core.counter.ProcessCounter`, through ``read()``
-    for any other counter.
+    A :class:`threading.local`: Python re-runs ``__init__``, with the
+    constructor's arguments, in every thread that first touches the
+    object, so :attr:`on_event` is a plain per-thread attribute — the
+    calling thread's own hook, found with one attribute read.  The hook
+    comes from the thread's writer in `pool`
+    (:attr:`~repro.core.log.ThreadLogWriter.make_hook`) and does all of
+    an event's work in one frame: ACTIVE check, mask check, tick read
+    from `counter`, pack, and a block-full commit.  A pool with
+    ``writer_block=1`` commits every event as its own block.
     """
 
-    __slots__ = ("log", "counter", "pool", "on_event")
-
-    def __init__(self, log, counter, writer_block=0):
-        self.log = log
-        self.counter = counter
-        self.pool = (
-            _WriterPool(log, writer_block) if writer_block else None
-        )
-        self.on_event = self._build_on_event()
-
-    def _build_on_event(self):
-        log, pool = self.log, self.pool
-        if log._words is not None:
-            flags, slot = log._words, 1
-        else:  # non-native byte order: the flags mirror, index 0
-            flags, slot = log._flags_mirror, 0
-        appends = {}
-
-        def append_for(tid):
-            append = pool.writer_for(tid).append if pool else log.append
-            appends[tid] = append
-            return append
-
-        ticks = getattr(self.counter, "words", None)
-        if ticks is not None:
-
-            def on_event(kind, addr, _flags=flags, _slot=slot,
-                         _get_ident=threading.get_ident,
-                         _appends=appends, _ticks=ticks):
-                if not _flags[_slot] & FLAG_ACTIVE:
-                    return
-                tid = _get_ident()
-                append = _appends.get(tid) or append_for(tid)
-                append(kind, _ticks[0], addr, tid)
-
-        else:
-
-            def on_event(kind, addr, _flags=flags, _slot=slot,
-                         _get_ident=threading.get_ident,
-                         _appends=appends, _read=self.counter.read):
-                if not _flags[_slot] & FLAG_ACTIVE:
-                    return
-                tid = _get_ident()
-                append = _appends.get(tid) or append_for(tid)
-                append(kind, _read(), addr, tid)
-
-        return on_event
+    def __init__(self, pool, counter):
+        tid = threading.get_ident()
+        self.pool = pool
+        self.on_event = pool.writer_for(tid).make_hook(tid, counter)
 
     def flush(self):
-        if self.pool is not None:
-            self.pool.flush()
+        """Commit every thread's staged block."""
+        self.pool.flush()

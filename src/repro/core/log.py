@@ -29,7 +29,10 @@ whole block of entries — the relaxed reservation of §II-C).
 :class:`ThreadLogWriter` is the batched writer built on block
 reservation: one per thread, it stages each entry as its packed bytes
 and commits each block with a single blit.  Only per-thread ordering
-survives — exactly the contract the analyzer needs.
+survives — exactly the contract the analyzer needs.  It also builds
+the live recorder's per-thread event hook
+(:attr:`ThreadLogWriter.make_hook`), so the entry layout is packed in
+this module alone.
 
 The flags word is the only mutable control surface: bit 0 (ACTIVE)
 gates recording and may be flipped while the application runs, which is
@@ -102,6 +105,9 @@ FLAG_SEALED = 1 << 4
 FLAG_COMPRESSED = 1 << 5
 
 _VERSION_SHIFT = 16
+# Byte offset of the low byte of header word 1 — the flag bits, ACTIVE
+# among them — on every host: the log is little-endian.
+_FLAGS_BYTE = 8
 
 # Entry word 0: bit 63 is the kind, the low 63 bits the counter value.
 KIND_CALL = 0
@@ -112,6 +118,9 @@ COUNTER_MASK = _KIND_BIT - 1
 _HEADER = struct.Struct("<8Q")
 _ENTRY = struct.Struct("<3Q")
 _ENTRY_V2 = struct.Struct("<4Q")
+# A v2 entry with call site 0: struct zero-fills pad bytes, so the live
+# hook packs both layouts with the same three arguments.
+_ENTRY_V2_NO_SITE = struct.Struct("<3Q8x")
 
 # The seal journal: a trailer after the entry array.  Header is the
 # magic word plus a record count; each record is (start, count, crc32)
@@ -387,13 +396,11 @@ class SharedLog:
             if _NATIVE_WORDS
             else None
         )
-        # Mirrors of the flags word: batched writers poll these per
-        # staged event, and a plain list index is measurably cheaper
-        # than a memoryview index (or any bit arithmetic) on that path.
-        # _measures_mirror holds the pre-shifted event-mask bits —
-        # ``mirror[kind]`` is truthy iff the mask admits that kind.
-        # Both kept in sync by _set_word.
-        self._flags_mirror = [header[1]]
+        # The event mask as the writers poll it per staged event: a
+        # plain list index is measurably cheaper than a memoryview
+        # index (or any bit arithmetic) on that path.  ``mirror[kind]``
+        # is truthy iff the mask admits that kind; _set_word keeps it
+        # in sync.
         self._measures_mirror = [
             header[1] & FLAG_MASK_CALLS,
             header[1] & FLAG_MASK_RETS,
@@ -591,7 +598,6 @@ class SharedLog:
         else:
             struct.pack_into("<Q", self._buf, index * 8, value)
         if index == 1:
-            self._flags_mirror[0] = value
             mirror = self._measures_mirror
             mirror[0] = value & FLAG_MASK_CALLS
             mirror[1] = value & FLAG_MASK_RETS
@@ -840,7 +846,7 @@ class SharedLog:
         tid = _np.ascontiguousarray(tid, dtype=u64)
         if call_site is not None:
             call_site = _np.ascontiguousarray(call_site, dtype=u64)
-        flags = self._flags_mirror[0]
+        flags = self._word(1)
         if not (flags & FLAG_MASK_CALLS) or not (flags & FLAG_MASK_RETS):
             keep = _np.zeros(len(kind), dtype=bool)
             if flags & FLAG_MASK_CALLS:
@@ -982,6 +988,12 @@ class ThreadLogWriter:
     flushes the stage and lands through
     :meth:`SharedLog.append_columns` as one vectorised block.
 
+    :attr:`make_hook` ``(tid, counter)`` builds the live recorder's
+    per-thread hook ``on_event(kind, addr)`` over the same staging
+    buffer: one frame per event checks ACTIVE and the event mask, reads
+    the tick, packs the entry and commits a full block (see
+    :class:`repro.core.instrument.LiveHooks`).
+
     The contract, matching ``docs/log-format.md``:
 
     * **one writer per thread** — the staging buffer is not shared, so
@@ -989,9 +1001,10 @@ class ThreadLogWriter:
       becomes per-block, which is within the format's "only per-thread
       order is meaningful" rule;
     * ``ACTIVE`` and the event mask are honoured *at staging time*
-      (the hooks check ACTIVE, :attr:`append` checks the mask): a flag
-      flipped between a block's staging and its flush affects later
-      events only, and already-staged events are always committed;
+      (the hooks check ACTIVE; :attr:`append` and the live hook check
+      the mask): a flag flipped between a block's staging and its
+      flush affects later events only, and already-staged events are
+      always committed;
     * drop accounting is exact but deferred: events staged into a
       block whose reservation straddles (or lies past) the capacity
       boundary are counted on :attr:`dropped` — and added to the log's
@@ -1009,6 +1022,7 @@ class ThreadLogWriter:
         "dropped",
         "blocks_flushed",
         "append",
+        "make_hook",
         "_flush_impl",
         "_pending_impl",
         "_staged_bytes",
@@ -1107,6 +1121,61 @@ class ThreadLogWriter:
                     flush()
                 return True
 
+        def make_hook(tid, counter):
+            """The live hook ``on_event(kind, addr)`` of thread `tid`.
+
+            It stages into this writer's buffer, so it and
+            :attr:`append` may be mixed.  ACTIVE is read from the
+            log's own header bytes at every event (a flag flipped
+            through another mapping of the log is honoured; a byte
+            index allocates nothing, unlike a u64 word read); ACTIVE
+            and the mask are tested before the tick is read, so a
+            dropped event costs two indexes.  The tick comes inline
+            from the shared word of a
+            :class:`~repro.core.counter.ProcessCounter`
+            (``counter.words[0]``), through ``read()`` from any other
+            counter.  A v2 entry is packed with call site 0.
+            """
+            header = log._buf
+            pack = (
+                _ENTRY_V2_NO_SITE if entry_size == ENTRY_SIZE_V2 else _ENTRY
+            ).pack_into
+            ticks = getattr(counter, "words", None)
+            if ticks is not None:
+
+                def on_event(kind, addr, _hdr=header, _at=_FLAGS_BYTE,
+                             _active=FLAG_ACTIVE, _meas=meas,
+                             _ticks=ticks, _tid=tid, _mask=COUNTER_MASK,
+                             _kbit=_KIND_BIT, _stage=stage, _pack=pack,
+                             _es=entry_size, _cap=block * entry_size):
+                    nonlocal pos
+                    if not _hdr[_at] & _active or not _meas[kind]:
+                        return
+                    _pack(_stage, pos, _ticks[0] & _mask | (kind and _kbit),
+                          addr, _tid)
+                    pos += _es
+                    if pos == _cap:
+                        flush()
+
+            else:
+
+                def on_event(kind, addr, _hdr=header, _at=_FLAGS_BYTE,
+                             _active=FLAG_ACTIVE, _meas=meas,
+                             _read=counter.read, _tid=tid,
+                             _mask=COUNTER_MASK, _kbit=_KIND_BIT,
+                             _stage=stage, _pack=pack,
+                             _es=entry_size, _cap=block * entry_size):
+                    nonlocal pos
+                    if not _hdr[_at] & _active or not _meas[kind]:
+                        return
+                    _pack(_stage, pos, _read() & _mask | (kind and _kbit),
+                          addr, _tid)
+                    pos += _es
+                    if pos == _cap:
+                        flush()
+
+            return on_event
+
         def staged_bytes():
             """The staged-but-uncommitted prefix of the staging buffer
             (a view, not a copy) — fault injection reads this to model
@@ -1118,6 +1187,7 @@ class ThreadLogWriter:
             pos = 0
 
         self.append = append
+        self.make_hook = make_hook
         self._flush_impl = flush_impl
         self._pending_impl = lambda: pos // entry_size
         self._staged_bytes = staged_bytes

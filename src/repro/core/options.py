@@ -38,9 +38,10 @@ class RecordOptions:
         Shared-log size in entries, fixed at creation (paper §II-B).
     writer_block:
         Entries per batched per-thread staging block; 0 keeps the
-        per-event append path.  ``None`` (the default) leaves it to
-        the recorder: 256 entries live, 0 simulated (so simulated runs
-        stay byte-deterministic).
+        per-event append path simulated and commits blocks of one
+        live.  ``None`` (the default) leaves it to the recorder: 256
+        entries live, 0 simulated (so simulated runs stay
+        byte-deterministic).
     sealed:
         Crash-consistent sealed segments: committed blocks carry a
         CRC32 seal record and the header's watermark advances (see

@@ -115,10 +115,11 @@ class TEEPerf:
     ):
         """A profiler for real (unsimulated) Python code.
 
-        `writer_block` sizes the per-thread batched writers (``0``
-        forces per-event appends; default:
-        :data:`repro.core.log.DEFAULT_WRITER_BLOCK`).  `sealed` and
-        `record` mirror :meth:`simulated`.
+        `writer_block` sizes the per-thread batched writers (default:
+        :data:`repro.core.log.DEFAULT_WRITER_BLOCK`); ``0`` commits
+        blocks of one entry, byte-identical to per-event appends,
+        each counted in ``PipelineStats.blocks_flushed``.  `sealed`
+        and `record` mirror :meth:`simulated`.
         """
         kwargs = {}
         if writer_block is not None:

@@ -24,7 +24,7 @@ import os
 
 from repro.core.counter import ProcessCounter, VirtualCounter
 from repro.core.errors import RecorderError
-from repro.core.instrument import LiveHooks, SimHooks
+from repro.core.instrument import LiveHooks, SimHooks, WriterPool
 from repro.core.log import DEFAULT_WRITER_BLOCK, SharedLog, VERSION
 from repro.core.stats import PipelineStats
 
@@ -312,6 +312,9 @@ class LiveRecorder(_RecorderBase):
         self.counter = counter or ProcessCounter()
 
     def _make_hooks(self):
+        # writer_block=0 runs as blocks of one: each event commits on
+        # its own, byte-identical to per-event appends, and counts as
+        # one flushed block.
         return LiveHooks(
-            self.log, self.counter, writer_block=self.writer_block
+            WriterPool(self.log, self.writer_block or 1), self.counter
         )

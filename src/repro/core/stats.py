@@ -40,7 +40,8 @@ class PipelineStats:
         because their return never made it into the log.
     blocks_flushed:
         Batched-writer blocks committed to the log (0 when the
-        recorder ran the per-event append path).
+        simulated recorder ran the per-event append path; a live
+        ``writer_block=0`` counts one block per entry).
     chunks_processed:
         Fixed-size ingestion chunks decoded.
     shards_analyzed:

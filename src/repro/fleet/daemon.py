@@ -440,6 +440,7 @@ class FleetDaemon:
             "in_flight": pending,
             "sessions_open": sessions_open,
             "pool": self.pool.kind,
+            "pool_fallback_reason": self.pool.fallback_reason,
             "window_seconds": self.store.window_seconds,
             "retention": self.store.retention,
             "store": totals,

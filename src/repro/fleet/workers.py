@@ -15,21 +15,42 @@ accounting.
 Workers prefer a :class:`~concurrent.futures.ProcessPoolExecutor`
 (reconstruction is CPU-bound; the GIL must not serialise tenants) and
 fall back to threads when the host cannot provide multiprocessing
-primitives (sandboxes without semaphores) — same policy as
-:meth:`repro.core.analyzer.Analyzer._run_shards_pooled`.  Each process
-worker memoises :class:`~repro.symbols.BinaryImage` construction per
-symtab, so a long-lived session pays the JSON parse once, not per
-segment.
+primitives (sandboxes without semaphores, a pool that breaks or never
+answers its probe) — same policy as
+:meth:`repro.core.analyzer.Analyzer._run_shards_pooled`.  The fallback
+is never silent: its cause is kept on
+:attr:`AnalysisPool.fallback_reason` (and in ``FleetDaemon.status()``)
+and logged once on the ``repro.fleet`` logger; any other exception
+propagates.  Each process worker memoises
+:class:`~repro.symbols.BinaryImage` construction per symtab, so a
+long-lived session pays the JSON parse once, not per segment.
 """
 
+import logging
 import zlib
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import (
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+    TimeoutError as FutureTimeout,
+)
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 from repro.core.analyzer import Analyzer
 from repro.symbols import BinaryImage
 
 __all__ = ["AnalysisPool", "SegmentResult", "analyze_segment"]
+
+_LOG = logging.getLogger("repro.fleet")
+
+#: Why a process pool can fail to come up on a host: no multiprocessing
+#: primitives (ImportError/NotImplementedError/OSError), workers that
+#: die (BrokenProcessPool), or a probe that never answers
+#: (concurrent.futures.TimeoutError, not an OSError on Python 3.9).
+_POOL_UNAVAILABLE = (
+    ImportError, NotImplementedError, OSError, BrokenProcessPool,
+    FutureTimeout,
+)
 
 #: Per-worker memo of symtab JSON -> (Analyzer, BinaryImage); keyed by
 #: CRC so the key stays tiny.  Module-global on purpose: in a process
@@ -145,7 +166,9 @@ class AnalysisPool:
 
     ``kind`` reports what actually backs it — ``"process"`` when the
     host granted real workers, ``"thread"`` after the fallback — so
-    metrics and tests can tell the difference.
+    metrics and tests can tell the difference.  ``fallback_reason`` is
+    ``"<ExceptionType>: <message>"`` of the failure that made a
+    process-preferring pool fall back to threads, else ``None``.
     """
 
     def __init__(self, jobs=2, prefer_processes=True):
@@ -155,11 +178,13 @@ class AnalysisPool:
         self.prefer_processes = prefer_processes
         self._executor = None
         self.kind = None
+        self.fallback_reason = None
 
     def _ensure(self):
         if self._executor is not None:
             return self._executor
         if self.prefer_processes:
+            pool = None
             try:
                 pool = ProcessPoolExecutor(max_workers=self.jobs)
                 # Force worker spawn now: a sandbox without semaphores
@@ -168,8 +193,16 @@ class AnalysisPool:
                 self._executor = pool
                 self.kind = "process"
                 return pool
-            except Exception:
-                pass
+            except BaseException as exc:
+                if pool is not None:  # never leave its workers behind
+                    pool.shutdown(wait=False, cancel_futures=True)
+                if not isinstance(exc, _POOL_UNAVAILABLE):
+                    raise
+                self.fallback_reason = f"{type(exc).__name__}: {exc}"
+                _LOG.warning(
+                    "analysis pool falls back to threads: %s",
+                    self.fallback_reason,
+                )
         self._executor = ThreadPoolExecutor(
             max_workers=self.jobs,
             thread_name_prefix="tee-perf-fleet-worker",
@@ -203,6 +236,7 @@ class AnalysisPool:
             self._executor.shutdown(wait=True)
             self._executor = None
             self.kind = None
+            self.fallback_reason = None
 
     def __enter__(self):
         self._ensure()

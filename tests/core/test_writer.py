@@ -64,7 +64,9 @@ def test_batched_image_is_byte_identical(block, version):
     events=st.lists(
         st.tuples(
             st.sampled_from([KIND_CALL, KIND_RET]),
-            st.integers(min_value=0, max_value=1 << 40),
+            # The whole u64 range: COUNTER_MASK and the kind bit must
+            # hold on the batched path too.
+            st.integers(min_value=0, max_value=(1 << 64) - 1),
             st.integers(min_value=0, max_value=1 << 40),
             st.integers(min_value=1, max_value=5),
         ),

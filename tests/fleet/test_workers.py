@@ -6,12 +6,18 @@ or a crashed producer's dirty snapshot, and failures must come back
 in-band — one bad segment never poisons the pool.
 """
 
+import logging
+from concurrent.futures import Future
+from concurrent.futures import TimeoutError as FutureTimeout
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from repro.core import KIND_CALL
 from repro.core.log import SharedLog
 from repro.faults import CrashingWriter, InjectedCrash, crashed_snapshot
-from repro.fleet import AnalysisPool, SegmentResult
+from repro.fleet import AnalysisPool, FleetDaemon, SegmentResult
+from repro.fleet import workers
 from repro.fleet.workers import analyze_segment
 from repro.symbols import BinaryImage
 
@@ -155,3 +161,95 @@ def test_memoryview_submit_is_zero_copy():
     assert peak - before < len(payload) // 4  # no copy was taken
     assert result.ok and result.accounted
     assert result.salvaged == n
+
+
+class _FakeProcessPool:
+    """Stands in for ``ProcessPoolExecutor``: ``submit`` hands back a
+    probe future failing with `probe_error`, or raises `submit_error`;
+    every instance records its ``shutdown`` calls."""
+
+    made = []
+    probe_error = None
+    submit_error = None
+
+    def __init__(self, max_workers):
+        self.shutdowns = []
+        _FakeProcessPool.made.append(self)
+
+    def submit(self, fn, *args):
+        if self.submit_error is not None:
+            raise self.submit_error
+        future = Future()
+        future.set_exception(self.probe_error)
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        self.shutdowns.append((wait, cancel_futures))
+
+
+@pytest.fixture
+def fake_process_pool(monkeypatch):
+    monkeypatch.setattr(_FakeProcessPool, "made", [])
+    monkeypatch.setattr(workers, "ProcessPoolExecutor", _FakeProcessPool)
+    return _FakeProcessPool
+
+
+@pytest.mark.parametrize(
+    "error",
+    [OSError("no semaphores"), BrokenProcessPool("worker died"),
+     FutureTimeout()],
+    ids=["os-error", "broken-pool", "probe-timeout"],
+)
+def test_pool_fallback_keeps_its_cause_and_shuts_the_process_pool(
+    fake_process_pool, monkeypatch, caplog, error
+):
+    monkeypatch.setattr(fake_process_pool, "probe_error", error)
+    pool = AnalysisPool(jobs=1)
+    try:
+        with caplog.at_level(logging.WARNING, logger="repro.fleet"):
+            pool._ensure()
+            pool._ensure()  # the fallback is decided, and logged, once
+        assert pool.kind == "thread"
+        assert pool.fallback_reason == f"{type(error).__name__}: {error}"
+        (fake,) = fake_process_pool.made
+        assert fake.shutdowns == [(False, True)]
+        (record,) = caplog.records
+        assert record.name == "repro.fleet"
+        assert pool.fallback_reason in record.getMessage()
+    finally:
+        pool.close()
+    assert pool.fallback_reason is None  # closed pools report nothing
+
+
+def test_daemon_status_reports_the_pool_fallback(
+    fake_process_pool, monkeypatch
+):
+    monkeypatch.setattr(
+        fake_process_pool, "probe_error", OSError("no semaphores")
+    )
+    daemon = FleetDaemon(jobs=1)
+    try:
+        assert daemon.status()["pool_fallback_reason"] is None
+        daemon.pool._ensure()
+        status = daemon.status()
+        assert status["pool"] == "thread"
+        assert status["pool_fallback_reason"] == "OSError: no semaphores"
+    finally:
+        daemon.stop()
+
+
+def test_a_bug_in_process_pool_start_up_propagates(
+    fake_process_pool, monkeypatch
+):
+    """Only a host that cannot run a process pool falls back; any
+    other failure is raised, and the half-built pool is still shut."""
+    monkeypatch.setattr(
+        fake_process_pool, "submit_error", RuntimeError("a real bug")
+    )
+    pool = AnalysisPool(jobs=1)
+    with pytest.raises(RuntimeError, match="a real bug"):
+        pool._ensure()
+    assert pool.kind is None
+    assert pool.fallback_reason is None
+    (fake,) = fake_process_pool.made
+    assert fake.shutdowns == [(False, True)]
