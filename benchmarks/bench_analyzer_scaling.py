@@ -1,4 +1,4 @@
-"""Analyzer scaling — reconstruction engines and true multi-core jobs.
+"""Analyzer scaling — reconstruction engines and ``jobs``.
 
 The ROADMAP's north star needs stage 3 to keep up with logs far larger
 than memory and with many threads.  PR 3 made *decode* columnar; this
@@ -8,27 +8,19 @@ reconstruction — across the engine × jobs matrix:
 * ``python j=1``  — the sequential per-entry oracle loop;
 * ``vector j=1``  — the whole-shard numpy kernel
   (:mod:`repro.core.reconstruct`), single worker;
-* ``vector j=4``  — the same kernel with shards fanned out to a
-  ``ProcessPoolExecutor`` (packed column bytes to each worker, so the
-  GIL stops mattering);
+* ``vector j=4``  — the same kernel with shards fanned out to the
+  analyzer's thread pool (one shared symbol cache);
 * ``vector j=4 (mmap)`` — ditto over an mmap-backed on-disk stream.
 
 The log builder and the matrix timer live in
 :mod:`repro.bench.workloads.analyzer`, shared with the suite's
 ``analyzer_vector`` benchmark (``python -m repro.bench``), which gates
 the vector floor with repetitions and confidence intervals.  This
-standalone run keeps the full matrix (the pool and mmap cells the
-suite omits) and two floors (standalone run:
+standalone run keeps the full matrix (the ``jobs=4`` and mmap cells
+the suite omits) and one floor, **vector >= 4x python**
+single-threaded on the 512k-entry clean log (standalone run:
 ``python benchmarks/bench_analyzer_scaling.py [--quick]``, artefact in
-``benchmarks/out/BENCH_analyze.json``, non-zero exit on a miss):
-
-* **vector >= 4x python** single-threaded on the 512k-entry clean log
-  — enforced everywhere;
-* **jobs=4 >= 1.8x jobs=1** through the process pool, measured on the
-  sequential engine (whose per-shard work dwarfs worker spawn — the
-  GIL-removal claim) — enforced only where ``os.cpu_count() >= 4`` (a
-  single-core container cannot physically scale; the JSON records the
-  measurement either way).
+``benchmarks/out/BENCH_analyze.json``, non-zero exit on a miss).
 
 The differential guarantee is asserted outside the timed region: every
 cell of the matrix must produce field-for-field identical records.
@@ -48,8 +40,6 @@ if __name__ == "__main__":  # allow running without PYTHONPATH=src
 from repro.api import Analyzer
 from repro.bench.workloads.analyzer import (
     FRAMES_PER_THREAD,
-    POOL_FLOOR,
-    POOL_MIN_CPUS,
     THREADS,
     VECTOR_FLOOR,
     build_image,
@@ -88,20 +78,13 @@ def main(argv=None):
 
     times = {name: elapsed for name, _, elapsed in cells}
     vector_speedup = times["python j=1"] / times["vector j=1"]
-    # Pool scaling is measured on the *sequential* engine, where
-    # per-shard work dwarfs worker spawn — that is the GIL-removal
-    # claim.  (The vector kernel finishes the whole log faster than a
-    # pool can start; its jobs=4 cells are reported for completeness.)
-    pool_scaling = times["python j=1"] / times["python j=4 (pool)"]
-    cpus = os.cpu_count() or 1
-    enforce_pool = cpus >= POOL_MIN_CPUS
 
     payload = {
         "benchmark": "analyze_engines",
         "quick": args.quick,
         "entries": entries,
         "threads": THREADS,
-        "cpu_count": cpus,
+        "cpu_count": os.cpu_count() or 1,
         "cells": [
             {
                 "name": name,
@@ -116,9 +99,6 @@ def main(argv=None):
         ],
         "vector_speedup": vector_speedup,
         "vector_floor": VECTOR_FLOOR,
-        "pool_scaling": pool_scaling,
-        "pool_floor": POOL_FLOOR,
-        "pool_floor_enforced": enforce_pool,
     }
     out = OUT_DIR / "BENCH_analyze.json"
     out.write_text(json.dumps(payload, indent=2) + "\n")
@@ -131,9 +111,7 @@ def main(argv=None):
             f"  cache {100 * stats.cache_hit_rate:.1f}%"
         )
     print(
-        f"vector vs python: {vector_speedup:.2f}x (floor {VECTOR_FLOOR}x); "
-        f"pool j=1->j=4: {pool_scaling:.2f}x (floor {POOL_FLOOR}x, "
-        f"{'enforced' if enforce_pool else f'reported only: {cpus} cpu'})"
+        f"vector vs python: {vector_speedup:.2f}x (floor {VECTOR_FLOOR}x)"
     )
     print(f"wrote {out}")
 
@@ -150,15 +128,12 @@ def main(argv=None):
             assert analysis.pipeline.shards_vectorised == THREADS, name
         assert analysis.pipeline.cache_hit_rate > 0.99, name
 
-    failed = []
     if vector_speedup < VECTOR_FLOOR:
-        failed.append(
-            f"vector engine {vector_speedup:.2f}x < {VECTOR_FLOOR}x"
+        print(
+            f"FLOOR MISSED: vector engine {vector_speedup:.2f}x < "
+            f"{VECTOR_FLOOR}x",
+            file=sys.stderr,
         )
-    if enforce_pool and pool_scaling < POOL_FLOOR:
-        failed.append(f"pool scaling {pool_scaling:.2f}x < {POOL_FLOOR}x")
-    if failed:
-        print("FLOOR MISSED: " + "; ".join(failed), file=sys.stderr)
         return 1
     return 0
 

@@ -16,20 +16,15 @@ from repro.bench.timing import best_of
 
 __all__ = [
     "VECTOR_FLOOR",
-    "POOL_FLOOR",
-    "POOL_MIN_CPUS",
     "build_image",
     "build_log",
     "run_matrix",
     "vector_speedup_sample",
 ]
 
-#: acceptance floors (ISSUE 4): vectorised reconstruction >= 4x the
-#: sequential loop single-threaded; the process pool >= 1.8x from
-#: jobs=1 to jobs=4 (enforced on hosts with >= POOL_MIN_CPUS cores).
+#: acceptance floor: vectorised reconstruction >= 4x the sequential
+#: loop single-threaded.
 VECTOR_FLOOR = 4.0
-POOL_FLOOR = 1.8
-POOL_MIN_CPUS = 4
 
 #: Paper-sized defaults (the standalone script's log: 8 * 32k * 2 =
 #: 512k entries over 48 functions).
@@ -111,11 +106,6 @@ def run_matrix(analyzer, log, stream_path, repeats):
     cells.append(
         ("vector j=1", *timed_cell(
             lambda: analyzer.analyze(log, engine="vector")
-        ))
-    )
-    cells.append(
-        ("python j=4 (pool)", *timed_cell(
-            lambda: analyzer.analyze(log, engine="python", jobs=4)
         ))
     )
     cells.append(

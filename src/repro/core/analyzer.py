@@ -6,8 +6,8 @@ The analyzer ingests the log in fixed-size chunks (from a
 (the thread id in each entry makes per-thread order reliable even
 though the global log order is not), reconstructs each thread's call
 stack from the call/return events — per-thread shards are independent,
-so ``jobs=N`` runs them on a worker pool — and computes for every
-method:
+so ``jobs=N`` runs them on a thread pool that shares one symbol cache —
+and computes for every method:
 
 * *inclusive* time — counter ticks between entry and exit;
 * *exclusive* ("real") time — inclusive minus the time spent in
@@ -34,7 +34,7 @@ Robustness rules, matching §II-B:
 * a return with no matching frame at all is counted and dismissed.
 """
 
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as _np
@@ -56,12 +56,8 @@ from repro.core.recovery import (
 )
 from repro.core.reconstruct import (
     ENGINES,
-    PROCESS_POOL_MIN_ENTRIES,
     CallRecord,
     RecordColumns,
-    _pool_init,
-    _pool_run,
-    pack_shard,
     run_shard,
 )
 from repro.core.stats import PipelineStats
@@ -455,7 +451,7 @@ class Analyzer:
     @staticmethod
     def _concat_segment_arrays(segments):
         """Flatten a shard's segments into four numpy arrays — the
-        reconstruction kernels' (and the shard packer's) input shape."""
+        reconstruction kernels' input shape."""
         if len(segments) == 1:
             return segments[0]
         has_cs = segments[0][3] is not None
@@ -467,25 +463,12 @@ class Analyzer:
         )
 
     def _finish_columns(self, log, per_thread, jobs, stats, engine):
-        """Reconstruct every shard (serially or on a pool) and merge."""
+        """Reconstruct every shard (serially or on a thread pool that
+        shares one symbol cache) and merge.  A shard's exception
+        propagates out of ``analyze``."""
         offset = log.profiler_addr - self.image.profiler_addr
         shards = list(per_thread.items())
         stats.shards_analyzed = len(shards)
-
-        # Big multi-shard runs go to a process pool: shards travel as
-        # packed column bytes, workers symbolise against their own
-        # cache, and the GIL stops mattering.  Small runs stay on
-        # threads, sharing one in-process cache (whose counters tiny
-        # profiles' tests — and users — can reason about exactly).
-        if (
-            jobs > 1
-            and len(shards) > 1
-            and stats.entries_ingested >= PROCESS_POOL_MIN_ENTRIES
-        ):
-            outcomes = self._run_shards_pooled(shards, jobs, offset, engine)
-            if outcomes is not None:
-                return self._merge(log, outcomes, None, stats)
-
         cache = CachedResolver(self.image.symtab, maxsize=self.cache_size)
 
         def run(shard):
@@ -507,38 +490,6 @@ class Analyzer:
             outcomes = [run(shard) for shard in shards]
         return self._merge(log, outcomes, cache, stats)
 
-    def _run_shards_pooled(self, shards, jobs, offset, engine):
-        """Fan packed shards out to a :class:`ProcessPoolExecutor`.
-
-        Each worker gets the symbol table once (through the pool
-        initializer) and builds a private :class:`CachedResolver`; a
-        shard crosses the process boundary as one packed byte string.
-        Returns ``None`` when no pool can be created here (no usable
-        multiprocessing primitives — e.g. a sandbox without
-        semaphores), in which case the caller takes the thread path.
-        A failure inside a worker propagates.
-        """
-        payloads = []
-        for tid, segments in shards:
-            kinds, counters, addrs, call_sites = (
-                self._concat_segment_arrays(segments)
-            )
-            payloads.append(
-                pack_shard(tid, kinds, counters, addrs, call_sites)
-            )
-        try:
-            pool = ProcessPoolExecutor(
-                max_workers=min(jobs, len(shards)),
-                initializer=_pool_init,
-                initargs=(
-                    self.image.symtab, offset, engine, self.cache_size
-                ),
-            )
-        except (ImportError, NotImplementedError, OSError):
-            return None
-        with pool:
-            return list(pool.map(_pool_run, payloads))
-
     def _merge(self, log, outcomes, cache, stats):
         # Merge: shard results concatenate in thread first-appearance
         # order.
@@ -556,19 +507,12 @@ class Analyzer:
         columns = RecordColumns.concat([o.columns for o in outcomes])
         stats.frames_truncated += int(columns.truncated.sum())
         stats.entries_dismissed += unmatched
-        if cache is not None:
-            # In-process pools share `cache`; the vector kernel's
-            # unique-address resolves count the per-call resolutions
-            # it *skipped* as hits (the sequential loop would have
-            # answered them from the LRU), keeping the hit-rate
-            # meaningful.
-            stats.cache_hits += cache.hits + synthetic_hits
-            stats.cache_misses += cache.misses
-        else:
-            # Pooled workers each carried a private cache and reported
-            # their own traffic on the way back.
-            stats.cache_hits += sum(o.hits for o in outcomes)
-            stats.cache_misses += sum(o.misses for o in outcomes)
+        # The vector kernel's unique-address resolves count the
+        # per-call resolutions it *skipped* as hits (the sequential
+        # loop would have answered them from the LRU), keeping the
+        # hit-rate meaningful.
+        stats.cache_hits += cache.hits + synthetic_hits
+        stats.cache_misses += cache.misses
 
         meta = {
             "events": len(log),

@@ -135,7 +135,7 @@ class AutoTracer:
                     KIND_CALL,
                     self.counter.read(),
                     addr + self.offset,
-                    threading.get_ident(),
+                    threading.get_native_id(),
                     call_site,
                 )
         elif event == "return":
@@ -145,7 +145,7 @@ class AutoTracer:
                     KIND_RET,
                     self.counter.read(),
                     addr + self.offset,
-                    threading.get_ident(),
+                    threading.get_native_id(),
                 )
         return None
 

@@ -387,34 +387,33 @@ class ColumnarLog:
         self._entry_size = _ENTRY_SIZES[self._version]
         self.chunk_size = chunk_size
         self._closer = closer
-        view = memoryview(buf)
         magic_end = HEADER_SIZE + len(COLUMNAR_MAGIC)
-        if bytes(view[HEADER_SIZE:magic_end]) != COLUMNAR_MAGIC:
+        if bytes(buf[HEADER_SIZE:magic_end]) != COLUMNAR_MAGIC:
             raise LogFormatError(
                 f"missing columnar payload magic at offset "
                 f"{HEADER_SIZE} (expected {COLUMNAR_MAGIC!r})"
             )
-        if len(view) < magic_end + _U64.size:
+        if len(buf) < magic_end + _U64.size:
             raise LogFormatError("truncated before the block count")
-        (n_blocks,) = _U64.unpack_from(view, magic_end)
+        (n_blocks,) = _U64.unpack_from(buf, magic_end)
         # The block directory: (byte offset, entry count, crc,
         # payload_len) per block, bounds-checked during the scan.
         self._blocks = []
         offset = magic_end + _U64.size
         for index in range(n_blocks):
-            if offset + _BLOCK_HEADER.size > len(view):
+            if offset + _BLOCK_HEADER.size > len(buf):
                 raise LogFormatError(
                     f"block {index} header truncated at offset {offset}"
                 )
             payload_len, count, crc = _BLOCK_HEADER.unpack_from(
-                view, offset
+                buf, offset
             )
             payload_at = offset + _BLOCK_HEADER.size
-            if payload_at + payload_len > len(view):
+            if payload_at + payload_len > len(buf):
                 raise LogFormatError(
                     f"block {index} claims {payload_len} payload bytes "
                     f"at offset {payload_at}, image holds "
-                    f"{len(view) - payload_at}"
+                    f"{len(buf) - payload_at}"
                 )
             self._blocks.append((payload_at, count, crc, payload_len))
             offset = payload_at + payload_len
@@ -423,19 +422,21 @@ class ColumnarLog:
     @classmethod
     def open(cls, path, chunk_size=DEFAULT_CHUNK_ENTRIES):
         """Open a rev 1.2 file through an ``mmap`` mapping (falling
-        back to an in-memory read where mapping is impossible)."""
+        back to an in-memory read where mapping is impossible).  The
+        mapping keeps its own descriptor, so the file is closed at
+        once; a rejected image closes the mapping too."""
         import mmap
 
-        fh = open(path, "rb")
+        with open(path, "rb") as fh:
+            try:
+                buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+            except (ValueError, OSError):
+                return cls(fh.read(), chunk_size)
         try:
-            buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-        except (ValueError, OSError):
-            data = fh.read()
-            fh.close()
-            return cls(data, chunk_size)
-        return cls(
-            buf, chunk_size, closer=lambda: (buf.close(), fh.close())
-        )
+            return cls(buf, chunk_size, closer=buf.close)
+        except BaseException:
+            buf.close()
+            raise
 
     # ------------------------------------------------------------------
     # Header accessors (the LogStream subset)

@@ -399,11 +399,14 @@ class LiveHooks(threading.local):
     (:attr:`~repro.core.log.ThreadLogWriter.make_hook`) and does all of
     an event's work in one frame: ACTIVE check, mask check, tick read
     from `counter`, pack, and a block-full commit.  A pool with
-    ``writer_block=1`` commits every event as its own block.
+    ``writer_block=1`` commits every event as its own block.  The log's
+    thread id is the OS thread id: CPython may hand a finished
+    thread's :func:`threading.get_ident` to the next thread started,
+    which would merge the two threads' profiles.
     """
 
     def __init__(self, pool, counter):
-        tid = threading.get_ident()
+        tid = threading.get_native_id()
         self.pool = pool
         self.on_event = pool.writer_for(tid).make_hook(tid, counter)
 

@@ -1335,16 +1335,20 @@ class LogStream:
         """Stream a persisted log file through an ``mmap`` mapping.
 
         Falls back to reading the file into memory where mapping is
-        impossible (empty file, exotic filesystem).
+        impossible (empty file, exotic filesystem).  The mapping keeps
+        its own descriptor, so the file is closed at once; a rejected
+        header closes the mapping too.
         """
-        fh = open(path, "rb")
+        with open(path, "rb") as fh:
+            try:
+                buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+            except (ValueError, OSError):
+                return cls(fh.read(), chunk_size)
         try:
-            buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-        except (ValueError, OSError):
-            data = fh.read()
-            fh.close()
-            return cls(data, chunk_size)
-        return cls(buf, chunk_size, closer=lambda: (buf.close(), fh.close()))
+            return cls(buf, chunk_size, closer=buf.close)
+        except BaseException:
+            buf.close()
+            raise
 
     # ------------------------------------------------------------------
     # Header accessors (the SharedLog subset a reader needs)

@@ -1,4 +1,4 @@
-"""The stack-reconstruction kernels: vectorised, sequential, pooled.
+"""The stack-reconstruction kernels: vectorised and sequential.
 
 Stage 3's hot loop is turning one thread's call/return events into
 :class:`CallRecord`\\ s.  This module holds both implementations of
@@ -27,11 +27,10 @@ that loop plus the structure-of-arrays result type they meet in:
   :class:`~repro.core.log.LogColumns`.  :class:`CallRecord` objects
   are only materialised on demand, so aggregation, folding and frame
   construction never pay the per-record object cost.
-* :func:`pack_shard` / :func:`unpack_shard` and the ``_pool_*``
-  helpers — the process-pool protocol: a shard travels to a worker as
-  one packed byte string (header + four column arrays), not as a
-  pickled list of entry objects, and the result travels back as a
-  picklable :class:`RecordColumns`.
+* :func:`run_shard` — one shard through the chosen engine, with the
+  vector kernel's fallback to the sequential loop.  It is
+  thread-safe: the analyzer runs ``jobs=N`` shards on a thread pool
+  that shares one symbol cache.
 
 Equivalence note: a shard is *clean* exactly when its kinds form a
 balanced Dyck word (the running ±1 sum never dips below zero and ends
@@ -42,21 +41,14 @@ return order, truncates nothing and dismisses nothing — which is
 precisely what the vectorised passes compute.
 """
 
-import struct
 from dataclasses import dataclass
 
 import numpy as _np
 
 from repro.core.log import KIND_CALL
-from repro.symbols.symtab import CachedResolver
 
 #: The analyzer's engine knob; ``"auto"`` means ``"vector"``.
 ENGINES = ("auto", "vector", "python")
-
-#: Below this many total entries a process pool costs more than it
-#: buys (worker spawn plus shard shipping), so ``jobs > 1`` stays on
-#: threads and keeps sharing one in-process symbol cache.
-PROCESS_POOL_MIN_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -140,27 +132,6 @@ class RecordColumns:
         self.paths = paths
         self._tuples = {}
         self._records = None
-
-    # -- pickling (process-pool transport): ship arrays and tables,
-    # never the caches.
-
-    def __getstate__(self):
-        return tuple(
-            getattr(self, name)
-            for name in self.__slots__
-            if name not in ("_tuples", "_records")
-        )
-
-    def __setstate__(self, state):
-        for name, value in zip(
-            (n for n in self.__slots__ if n not in ("_tuples", "_records")),
-            state,
-        ):
-            setattr(self, name, value)
-        self._tuples = {}
-        self._records = None
-
-    # ------------------------------------------------------------------
 
     def __len__(self):
         return len(self.method_id)
@@ -593,7 +564,7 @@ def reconstruct_python(tid, kinds, counters, addrs, call_sites, offset,
 
 
 # ======================================================================
-# Shard execution (shared by the in-process pools and the workers)
+# Shard execution
 
 
 @dataclass
@@ -608,10 +579,6 @@ class ShardOutcome:
     #: unique-address pass — counted as cache hits, since the
     #: sequential loop would have taken them from the LRU.
     synthetic_hits: int = 0
-    #: Filled by pool workers (each has a private cache); ``None``
-    #: in-process, where the shared cache is read once at merge.
-    hits: int = None
-    misses: int = None
 
 
 def run_shard(tid, kinds, counters, addrs, call_sites, offset, cache,
@@ -645,120 +612,3 @@ def run_shard(tid, kinds, counters, addrs, call_sites, offset, cache,
         unmatched=unmatched,
         mismatches=mismatches,
     )
-
-
-# ======================================================================
-# The process-pool protocol
-
-_SHARD_HEADER = struct.Struct("<QQQ")  # tid, n, flags
-_SHARD_HAS_CALL_SITES = 1  # flags bit 0
-_SHARD_COMPACT = 2  # flags bit 1: rev 1.2 varint/delta columns
-
-#: Shards at or above this many entries cross the process boundary in
-#: the rev 1.2 varint/delta encoding (3–5× less pickled bytes); small
-#: shards ship raw — the codec pass isn't worth it below this.
-COMPACT_SHARD_MIN_ENTRIES = 4096
-
-
-def pack_shard(tid, kinds, counters, addrs, call_sites, compact=None):
-    """One shard as bytes: header + the column arrays.
-
-    This is what crosses the process boundary — a single blit per
-    column instead of a pickled list of entry objects.  Large shards
-    (``compact=None`` auto-selects at
-    :data:`COMPACT_SHARD_MIN_ENTRIES`) pack their columns through the
-    rev 1.2 varint/delta codec instead of raw u64s, shrinking the IPC
-    payload the same 3–5× the on-disk format enjoys.
-    """
-    n = len(kinds)
-    if compact is None:
-        compact = n >= COMPACT_SHARD_MIN_ENTRIES
-    flags = _SHARD_HAS_CALL_SITES if call_sites is not None else 0
-    if compact:
-        from repro.core import columnar as _codec
-
-        sections = [
-            _codec.encode_varint(kinds),
-            _codec.encode_delta(counters),
-            _codec.encode_dictionary(addrs),
-        ]
-        if call_sites is not None:
-            sections.append(_codec.encode_dictionary(call_sites))
-        parts = [_SHARD_HEADER.pack(tid, n, flags | _SHARD_COMPACT)]
-        for packed in sections:
-            parts.append(struct.pack("<Q", len(packed)))
-            parts.append(packed)
-        return b"".join(parts)
-    parts = [
-        _SHARD_HEADER.pack(tid, n, flags),
-        _np.ascontiguousarray(kinds, dtype=_np.uint64).tobytes(),
-        _np.ascontiguousarray(counters, dtype=_np.uint64).tobytes(),
-        _np.ascontiguousarray(addrs, dtype=_np.uint64).tobytes(),
-    ]
-    if call_sites is not None:
-        parts.append(
-            _np.ascontiguousarray(call_sites, dtype=_np.uint64).tobytes()
-        )
-    return b"".join(parts)
-
-
-def unpack_shard(payload):
-    """Inverse of :func:`pack_shard`: zero-copy ``frombuffer`` views
-    for raw shards, one vectorised decode pass for compact ones."""
-    tid, n, flags = _SHARD_HEADER.unpack_from(payload, 0)
-    base = _SHARD_HEADER.size
-    if flags & _SHARD_COMPACT:
-        from repro.core import columnar as _codec
-
-        view = memoryview(payload)
-        decoders = [
-            _codec.decode_varint,
-            _codec.decode_delta,
-            _codec.decode_dictionary,
-        ]
-        if flags & _SHARD_HAS_CALL_SITES:
-            decoders.append(_codec.decode_dictionary)
-        offset = base
-        columns = []
-        for decode in decoders:
-            (length,) = struct.unpack_from("<Q", view, offset)
-            offset += 8
-            columns.append(decode(view[offset : offset + length], n))
-            offset += length
-        if not flags & _SHARD_HAS_CALL_SITES:
-            columns.append(None)
-        return (tid, *columns)
-    span = n * 8
-
-    def col(index):
-        return _np.frombuffer(
-            payload, dtype="<u8", count=n, offset=base + index * span
-        )
-
-    call_sites = col(3) if flags & _SHARD_HAS_CALL_SITES else None
-    return tid, col(0), col(1), col(2), call_sites
-
-
-_POOL_STATE = None
-
-
-def _pool_init(symtab, offset, engine, cache_size):
-    """Worker initialiser: one symbol cache per process, built from
-    the symbol table shipped once through the pool's initargs."""
-    global _POOL_STATE
-    _POOL_STATE = (CachedResolver(symtab, maxsize=cache_size), offset, engine)
-
-
-def _pool_run(payload):
-    """Worker entry: unpack one shard, reconstruct, return a
-    picklable outcome carrying this worker's cache traffic."""
-    cache, offset, engine = _POOL_STATE
-    tid, kinds, counters, addrs, call_sites = unpack_shard(payload)
-    before_hits, before_misses = cache.hits, cache.misses
-    outcome = run_shard(
-        tid, kinds, counters, addrs, call_sites, offset, cache, engine
-    )
-    outcome.hits = cache.hits - before_hits + outcome.synthetic_hits
-    outcome.misses = cache.misses - before_misses
-    outcome.synthetic_hits = 0
-    return outcome

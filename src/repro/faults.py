@@ -200,7 +200,9 @@ def run_to_crash(recorder, entry, *args, **kwargs):
     :class:`InjectedCrash`, and return the crashed snapshot bytes.
 
     Deliberately never calls ``recorder.stop()`` — stop flushes the
-    hooks and seals the remainder, which would hide the crash.  Raises
+    hooks and seals the remainder, which would hide the crash.  Only
+    the counter is stopped, after the snapshot, so a live recorder's
+    counter process does not outlive the crash.  Raises
     :class:`AssertionError` when `entry` returns without crashing
     (the fault was mis-planted).
     """
@@ -208,9 +210,10 @@ def run_to_crash(recorder, entry, *args, **kwargs):
     try:
         entry(*args, **kwargs)
     except InjectedCrash:
-        pass
+        return crashed_snapshot(recorder.log)
     else:
         raise AssertionError(
             "entry returned without crashing; fault not planted?"
         )
-    return crashed_snapshot(recorder.log)
+    finally:
+        recorder.counter.stop()

@@ -6,18 +6,17 @@ segment, and only torn down with the daemon.  A segment crosses into a
 worker as ``(log image bytes, symtab JSON, recover mode)`` — the log
 image *is* the packed columnar representation (fixed-width
 little-endian words, decoded with one ``numpy.frombuffer`` sweep on
-the other side), so the handoff reuses the same
-pack-bytes/decode-columns shape PR 4 introduced for shard fan-out —
-and comes back as a :class:`SegmentResult` of plain picklable fields:
-the folded-stack summary, per-method call counts, and the salvage
+the other side), so nothing is re-encoded for the trip — and comes
+back as a :class:`SegmentResult` of plain picklable fields: the
+folded-stack summary, per-method call counts, and the salvage
 accounting.
 
 Workers prefer a :class:`~concurrent.futures.ProcessPoolExecutor`
 (reconstruction is CPU-bound; the GIL must not serialise tenants) and
 fall back to threads when the host cannot provide multiprocessing
 primitives (sandboxes without semaphores, a pool that breaks or never
-answers its probe) — same policy as
-:meth:`repro.core.analyzer.Analyzer._run_shards_pooled`.  The fallback
+answers its probe).  This is the only process pool in the package:
+the analyzer's own ``jobs=N`` shards run on threads.  The fallback
 is never silent: its cause is kept on
 :attr:`AnalysisPool.fallback_reason` (and in ``FleetDaemon.status()``)
 and logged once on the ``repro.fleet`` logger; any other exception

@@ -73,9 +73,7 @@ def test_auto_scope_predicate(app):
 
 def test_auto_traces_spawned_threads(app):
     perf = TEEPerf.auto(scope="auto_app")
-    # A barrier keeps all three threads alive simultaneously, so their
-    # idents are guaranteed distinct (Python reuses idents of joined
-    # threads otherwise).
+    # A barrier keeps all three threads alive simultaneously.
     barrier = threading.Barrier(3)
     exec(
         "def synced_helper(barrier):\n"
@@ -97,6 +95,24 @@ def test_auto_traces_spawned_threads(app):
     perf.record(fan_out)
     analysis = perf.analyze()
     helper = analysis.method("auto_app::helper()")
+    assert helper.calls == 3
+    assert len(helper.threads) == 3
+
+
+def test_auto_threads_run_one_after_another_keep_their_own_tids(app):
+    """CPython may hand a joined thread's ident to the next thread
+    started; the log's tid must still tell the threads apart."""
+    perf = TEEPerf.auto(scope="auto_app")
+
+    def run_in_turn():
+        for _ in range(3):
+            thread = threading.Thread(target=app.helper)
+            thread.start()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+
+    perf.record(run_in_turn)
+    helper = perf.analyze().method("auto_app::helper()")
     assert helper.calls == 3
     assert len(helper.threads) == 3
 

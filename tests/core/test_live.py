@@ -91,6 +91,29 @@ def test_live_profile_multithreaded():
         perf.uninstrument()
 
 
+def test_live_threads_run_one_after_another_keep_their_own_tids():
+    """CPython may hand a joined thread's ident to the next thread
+    started; the log's tid must still tell the threads apart."""
+    module = make_module()
+    perf = TEEPerf.live(name="live-seq")
+    perf.compile_module(module)
+
+    def run_in_turn():
+        for _ in range(3):
+            thread = threading.Thread(target=module.inner)
+            thread.start()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+
+    try:
+        perf.record(run_in_turn)
+        analysis = perf.analyze()
+    finally:
+        perf.uninstrument()
+    assert analysis.method("inner").calls == 3
+    assert len(analysis.method("inner").threads) == 3
+
+
 def test_live_with_hardware_counter():
     module = make_module()
     program_counter = PerfCounterClock()
@@ -247,8 +270,7 @@ def test_live_hooks_under_thread_stress():
         setattr(module, fn.__name__, fn)
     perf = TEEPerf.live(name="live-stress", writer_block=3)
     perf.compile_module(module)
-    # All six run at once, and none exits before all are done: a
-    # finished thread's id may be handed to the next one started.
+    # All six run at once, and none exits before all are done.
     barrier = threading.Barrier(6)
 
     def body():
@@ -408,7 +430,7 @@ class _AppendOracle:
     def __init__(self, log, script):
         self.log = log
         self.script = script
-        self.tid = threading.get_ident()
+        self.tid = threading.get_native_id()
 
     def on_event(self, kind, addr):
         log = self.log

@@ -1,14 +1,13 @@
 """The vectorised reconstruction engine vs the sequential oracle.
 
-The contract under test: whatever the engine, jobs count or transport
-(in-process threads, packed-shard process pool), ``Analyzer.analyze``
-produces field-for-field identical profiles — and the vector engine
-only keeps a shard when its whole-array pairing is provably the
-oracle's replay, falling back transparently otherwise.
+The contract under test: whatever the engine or jobs count,
+``Analyzer.analyze`` produces field-for-field identical profiles — and
+the vector engine only keeps a shard when its whole-array pairing is
+provably the oracle's replay, falling back transparently otherwise.
 """
 
 import json
-import struct
+from itertools import chain, zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +24,7 @@ from repro.core import (
     to_json,
     to_metrics,
 )
-from repro.core.reconstruct import pack_shard, unpack_shard
+from repro.core.reconstruct import run_shard
 from repro.monitor import MetricRegistry, PipelineSampler
 
 FUNCTIONS = ("main", "work", "leaf", "spin", "idle")
@@ -245,26 +244,6 @@ def test_path_tuples_are_interned(image):
             assert record.path is first, engine
 
 
-def test_pack_unpack_shard_roundtrip():
-    np = pytest.importorskip("numpy")
-    kinds = np.array([0, 0, 1, 1], dtype=np.uint64)
-    counters = np.array([5, 10, 20, 40], dtype=np.uint64)
-    addrs = np.array([7, 8, 8, 7], dtype=np.uint64)
-    sites = np.array([0, 7, 0, 0], dtype=np.uint64)
-    tid, k, c, a, s = unpack_shard(
-        pack_shard(42, kinds, counters, addrs, sites)
-    )
-    assert tid == 42
-    assert k.tolist() == kinds.tolist()
-    assert c.tolist() == counters.tolist()
-    assert a.tolist() == addrs.tolist()
-    assert s.tolist() == sites.tolist()
-    tid, k, c, a, s = unpack_shard(
-        pack_shard(7, kinds, counters, addrs, None)
-    )
-    assert tid == 7 and s is None
-
-
 def three_thread_events():
     events = []
     for tid in (1, 2, 3):
@@ -279,57 +258,68 @@ def three_thread_events():
     return events
 
 
-def test_process_pool_path_matches(image, monkeypatch):
-    # Force the pool for a small log by dropping the entry threshold.
-    monkeypatch.setattr(
-        "repro.core.analyzer.PROCESS_POOL_MIN_ENTRIES", 1
-    )
+# One call tree, 10 events: main(work(leaf), spin(idle)).
+CALL_TREE = [
+    (KIND_CALL, 0), (KIND_CALL, 1), (KIND_CALL, 2), (KIND_RET, 2),
+    (KIND_RET, 1), (KIND_CALL, 3), (KIND_CALL, 4), (KIND_RET, 4),
+    (KIND_RET, 3), (KIND_RET, 0),
+]
+
+
+def big_log_events():
+    """65,598 entries over 4 interleaved threads; thread 3 stops inside
+    its last tree, so its shard falls back to the sequential loop
+    while the others take the vector kernel."""
+    per_thread = []
+    for tid in (1, 2, 3, 4):
+        events = []
+        counter = tid
+        for i in range(1640):
+            for kind, fn in CALL_TREE:
+                counter += 1 + (i * 7 + fn + tid) % 5
+                events.append((kind, fn, counter, tid))
+        if tid == 3:
+            del events[-2:]  # spin's and main's returns
+        per_thread.append(events)
+    return [
+        event
+        for event in chain.from_iterable(zip_longest(*per_thread))
+        if event is not None
+    ]
+
+
+def test_thread_pool_matches_serial_on_a_big_log(image):
+    log = build_log(image, big_log_events())
+    assert len(log) >= 1 << 16
     analyzer = Analyzer(image)
-    log = build_log(image, three_thread_events())
-    serial = analyzer.analyze(log, engine="vector")
-    for engine in ("vector", "python"):
-        pooled = analyzer.analyze(log, jobs=4, engine=engine)
+    serial = analyzer.analyze(log)
+    assert serial.pipeline.shards_vectorised == 3
+    assert serial.pipeline.shards_fallback == 1
+    for jobs in (2, 4):
+        pooled = analyzer.analyze(log, jobs=jobs)
         assert pooled.records == serial.records
         assert pooled.unmatched_returns == serial.unmatched_returns
         assert pooled.meta == serial.meta
-        # Workers report their private cache traffic back.
-        assert (
-            pooled.pipeline.cache_hits + pooled.pipeline.cache_misses > 0
-        )
+        assert pooled.pipeline.shards_vectorised == 3
+        assert pooled.pipeline.shards_fallback == 1
+        assert pooled.pipeline.jobs == jobs
 
 
-def test_process_pool_worker_failure_propagates(image, monkeypatch):
-    """A worker that fails raises out of analyze — it is not rerun on
-    threads behind the caller's back."""
-    monkeypatch.setattr(
-        "repro.core.analyzer.PROCESS_POOL_MIN_ENTRIES", 1
-    )
-    monkeypatch.setattr(
-        "repro.core.analyzer.pack_shard", lambda *args: b"garbage"
-    )
+def test_shard_failure_propagates_from_the_thread_pool(image, monkeypatch):
+    """A shard that fails raises out of analyze."""
+
+    class ShardFailed(Exception):
+        pass
+
+    def failing_run_shard(tid, *args):
+        if tid == 2:
+            raise ShardFailed(tid)
+        return run_shard(tid, *args)
+
+    monkeypatch.setattr("repro.core.analyzer.run_shard", failing_run_shard)
     log = build_log(image, three_thread_events())
-    with pytest.raises(struct.error):
+    with pytest.raises(ShardFailed):
         Analyzer(image).analyze(log, jobs=2)
-
-
-def test_process_pool_unavailable_falls_back_to_threads(image, monkeypatch):
-    monkeypatch.setattr(
-        "repro.core.analyzer.PROCESS_POOL_MIN_ENTRIES", 1
-    )
-
-    def no_semaphores(*args, **kwargs):
-        raise NotImplementedError("no working sem_open on this host")
-
-    monkeypatch.setattr(
-        "repro.core.analyzer.ProcessPoolExecutor", no_semaphores
-    )
-    analyzer = Analyzer(image)
-    log = build_log(image, three_thread_events())
-    serial = analyzer.analyze(log)
-    pooled = analyzer.analyze(log, jobs=2)
-    assert pooled.folded() == serial.folded()
-    assert pooled.records == serial.records
-    assert pooled.pipeline.jobs == 2
 
 
 @pytest.mark.parametrize(

@@ -319,6 +319,20 @@ def test_logstream_rejects_garbage(tmp_path):
         LogStream.open(str(path))
 
 
+def test_columnarlog_rejects_garbage(tmp_path):
+    """A rev 1.2 header over a garbage payload is rejected, and the
+    rejected file's mapping is closed (no ResourceWarning)."""
+    from repro.core.columnar import ColumnarLog, encode_log
+    from repro.core.errors import LogFormatError
+    from repro.core.log import HEADER_SIZE
+
+    header = encode_log(SharedLog.create(8))[:HEADER_SIZE]
+    path = tmp_path / "junk.teeperf"
+    path.write_bytes(header + b"not a columnar payload, not even close" * 4)
+    with pytest.raises(LogFormatError):
+        ColumnarLog.open(str(path))
+
+
 def test_logstream_short_file_clips_entries(image, tmp_path):
     """A snapshot cut mid-entry exposes only the complete entries."""
     log = make_log(
