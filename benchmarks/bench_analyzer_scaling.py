@@ -20,7 +20,8 @@ standalone run keeps the full matrix (the ``jobs=4`` and mmap cells
 the suite omits) and one floor, **vector >= 4x python**
 single-threaded on the 512k-entry clean log (standalone run:
 ``python benchmarks/bench_analyzer_scaling.py [--quick]``, artefact in
-``benchmarks/out/BENCH_analyze.json``, non-zero exit on a miss).
+``benchmarks/out/analyzer_scaling.json``, non-zero exit on a miss).
+``BENCH_analyze.json`` is the suite's derived view, not this matrix.
 
 The differential guarantee is asserted outside the timed region: every
 cell of the matrix must produce field-for-field identical records.
@@ -100,7 +101,7 @@ def main(argv=None):
         "vector_speedup": vector_speedup,
         "vector_floor": VECTOR_FLOOR,
     }
-    out = OUT_DIR / "BENCH_analyze.json"
+    out = OUT_DIR / "analyzer_scaling.json"
     out.write_text(json.dumps(payload, indent=2) + "\n")
 
     for name, analysis, elapsed in cells:
@@ -146,7 +147,7 @@ def test_analyzer_engine_matrix(emit):
     from repro.fex import ResultTable
 
     assert main(["--quick"]) == 0
-    payload = json.loads((OUT_DIR / "BENCH_analyze.json").read_text())
+    payload = json.loads((OUT_DIR / "analyzer_scaling.json").read_text())
     assert payload["vector_speedup"] >= VECTOR_FLOOR
 
     table = ResultTable(

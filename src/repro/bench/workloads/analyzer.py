@@ -114,14 +114,12 @@ def run_matrix(analyzer, log, stream_path, repeats):
         ))
     )
     if stream_path is not None:
-        cells.append(
-            ("vector j=4 (mmap)", *timed_cell(
-                lambda: analyzer.analyze(
-                    LogStream.open(str(stream_path)), engine="vector",
-                    jobs=4,
-                )
-            ))
-        )
+
+        def analyze_mapped():
+            with LogStream.open(str(stream_path)) as stream:
+                return analyzer.analyze(stream, engine="vector", jobs=4)
+
+        cells.append(("vector j=4 (mmap)", *timed_cell(analyze_mapped)))
     return cells
 
 

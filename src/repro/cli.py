@@ -56,7 +56,7 @@ from repro.core.export import (
 )
 from repro.core.flamegraph import FlameGraph
 from repro.core.instrument import symbol
-from repro.core.log import KIND_CALL, LogStream, open_log
+from repro.core.log import KIND_CALL, open_log
 from repro.core.options import (
     add_analyze_arguments,
     add_record_arguments,
@@ -70,8 +70,8 @@ from repro.tee import platform_by_name
 
 
 def cmd_inspect(args):
-    # Big logs stream through mmap; small ones load whole (open_log
-    # picks, so inspect never slurps a multi-gigabyte file).
+    # open_log maps the file, so inspect never slurps a multi-gigabyte
+    # log: chunks are paged in as they are decoded.
     log = open_log(args.log)
     try:
         print(f"TEE-Perf log: {args.log}")
@@ -100,8 +100,7 @@ def cmd_inspect(args):
         for tid, count in threads.most_common(10):
             print(f"    thread {tid}: {count} events")
     finally:
-        if hasattr(log, "close"):
-            log.close()
+        log.close()
     return 0
 
 
@@ -177,25 +176,29 @@ def cmd_convert(args):
     from repro.core.columnar import ColumnarLog, encode_log
 
     try:
-        log = open_log(args.log, mmap_threshold=float("inf"))
+        log = open_log(args.log)
     except (OSError, LogFormatError) as exc:
         print(f"cannot convert: {exc}", file=sys.stderr)
         return 1
-    was_compressed = isinstance(log, ColumnarLog)
-    to_columnar = not was_compressed if args.to is None \
-        else args.to == "1.2"
+    # The input is mapped: convert in memory and unmap it before the
+    # output (which may be the same file) is written.
+    with log:
+        was_compressed = isinstance(log, ColumnarLog)
+        to_columnar = not was_compressed if args.to is None \
+            else args.to == "1.2"
+        entries = len(log)
+        if to_columnar == was_compressed:
+            direction = "rev 1.2" if was_compressed else "fixed-width"
+            print(f"{args.log} is already {direction}; nothing to do")
+            return 0
+        if to_columnar:
+            image = encode_log(log, sort_by_thread=not args.no_sort)
+        else:
+            expanded = log.to_shared_log()
     in_size = os.path.getsize(args.log)
-    entries = len(log)
-    if to_columnar == was_compressed:
-        direction = "rev 1.2" if was_compressed else "fixed-width"
-        print(f"{args.log} is already {direction}; nothing to do")
-        if was_compressed:
-            log.close()
-        return 0
     suffix = ".tpc" if to_columnar else ".teeperf"
     output = args.output or f"{os.path.splitext(args.log)[0]}{suffix}"
     if to_columnar:
-        image = encode_log(log, sort_by_thread=not args.no_sort)
         with open(output, "wb") as fh:
             fh.write(image)
         out_size = len(image)
@@ -204,12 +207,10 @@ def cmd_convert(args):
         back = ColumnarLog(image)
         ok = len(back) == entries
     else:
-        expanded = log.to_shared_log()
         expanded.dump(output)
         out_size = os.path.getsize(output)
         back = expanded
         ok = len(back) == entries
-        log.close()
     ratio = in_size / out_size if out_size else 0.0
     print(f"converted {args.log} -> {output}")
     print(f"  entries:   {entries}")

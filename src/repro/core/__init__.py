@@ -53,7 +53,6 @@ from repro.core.instrument import (
 )
 from repro.core.log import (
     DEFAULT_CHUNK_ENTRIES,
-    DEFAULT_MMAP_THRESHOLD,
     DEFAULT_WRITER_BLOCK,
     ENTRY_SIZE,
     HEADER_SIZE,
@@ -80,7 +79,6 @@ __all__ = [
     "to_speedscope",
     "CallRecord",
     "DEFAULT_CHUNK_ENTRIES",
-    "DEFAULT_MMAP_THRESHOLD",
     "DEFAULT_WRITER_BLOCK",
     "ENTRY_SIZE",
     "HEADER_SIZE",

@@ -1,8 +1,10 @@
 """Stage 3 — the streaming analyzer.
 
-The analyzer ingests the log in fixed-size chunks (from a
-:class:`~repro.core.log.SharedLog` in memory or a mmap-backed
-:class:`~repro.core.log.LogStream` on disk), groups entries per thread
+The analyzer ingests the log in fixed-size chunks from whatever
+reader :func:`~repro.core.log.open_log` makes of its source (a
+:class:`~repro.core.log.SharedLog` in memory, a file mapped as a
+:class:`~repro.core.log.LogStream`, or a rev 1.2
+:class:`~repro.core.columnar.ColumnarLog`), groups entries per thread
 (the thread id in each entry makes per-thread order reliable even
 though the global log order is not), reconstructs each thread's call
 stack from the call/return events — per-thread shards are independent,
@@ -41,13 +43,7 @@ import numpy as _np
 
 from repro.core.columnar import ColumnarLog
 from repro.core.errors import AnalyzerError
-from repro.core.log import (
-    DEFAULT_CHUNK_ENTRIES,
-    LogStream,
-    SharedLog,
-    is_compressed_image,
-    open_log,
-)
+from repro.core.log import DEFAULT_CHUNK_ENTRIES, open_log
 from repro.core.recovery import (
     RECOVER_MODES,
     recover_log,
@@ -324,9 +320,10 @@ class Analyzer:
                 engine="auto", recover="off", options=None):
         """Streaming analysis: chunked ingestion, sharded reconstruction.
 
-        `log` may be a :class:`SharedLog`, a :class:`LogStream`, raw
-        bytes, or a path (paths are opened as mmap-backed streams, so
-        the whole file is never read into memory at once).  `jobs`
+        `log` may be anything :func:`~repro.core.log.open_log` opens:
+        a reader, raw bytes (wrapped in place), or a path (mapped, so
+        the whole file is never read into memory at once; the mapping
+        is closed before ``analyze`` returns).  `jobs`
         sets the worker-pool width for per-thread shards; `stats` is
         an optional recorder-seeded :class:`PipelineStats` to extend —
         the resulting counters land on ``analysis.pipeline`` either
@@ -373,26 +370,30 @@ class Analyzer:
             log, recovery_report = recover_log(log)
             if recover == "strict":
                 require_clean(recovery_report)
-        opened = not isinstance(log, (SharedLog, LogStream, ColumnarLog))
-        log = self._coerce(log)
-        stats = stats if stats is not None else PipelineStats()
-        stats.jobs = jobs
-        stats.chunk_size = chunk_size
-        stats.engine = engine
-        if not stats.bytes_written:
-            stats.bytes_written = len(log) * log.entry_size
-        if not stats.bytes_on_disk and isinstance(log, ColumnarLog):
-            stats.bytes_on_disk = log.nbytes
-        if recovery_report is not None:
-            recovery_stats(recovery_report, stats)
-
         try:
+            reader = open_log(log)
+        except TypeError:
+            raise AnalyzerError(
+                f"cannot analyze {type(log).__name__}"
+            ) from None
+        try:
+            stats = stats if stats is not None else PipelineStats()
+            stats.jobs = jobs
+            stats.chunk_size = chunk_size
+            stats.engine = engine
+            if not stats.bytes_written:
+                stats.bytes_written = len(reader) * reader.entry_size
+            if not stats.bytes_on_disk and isinstance(reader, ColumnarLog):
+                stats.bytes_on_disk = reader.nbytes
+            if recovery_report is not None:
+                recovery_stats(recovery_report, stats)
+
             # Ingestion: decode fixed-size *column* chunks (one
             # vectorised sweep each — no LogEntry objects), shard per
             # thread with array masks.
             per_thread = {}
             lo = hi = None
-            for cols in log.iter_column_chunks(chunk_size):
+            for cols in reader.iter_column_chunks(chunk_size):
                 stats.chunks_processed += 1
                 stats.entries_ingested += len(cols)
                 bounds = cols.counter_bounds()
@@ -403,13 +404,13 @@ class Analyzer:
             stats.counter_span = (hi - lo) if lo is not None else 0
 
             analysis = self._finish_columns(
-                log, per_thread, jobs, stats, engine
+                reader, per_thread, jobs, stats, engine
             )
             analysis.recovery = recovery_report
             return analysis
         finally:
-            if opened and isinstance(log, (LogStream, ColumnarLog)):
-                log.close()
+            if reader is not log:
+                reader.close()
 
     # ------------------------------------------------------------------
 
@@ -528,23 +529,3 @@ class Analyzer:
         return Analysis(
             columns, unmatched, self.tick_ns, meta, locations, pipeline=stats
         )
-
-    def _coerce(self, log):
-        if isinstance(log, (SharedLog, LogStream, ColumnarLog)):
-            return log
-        if isinstance(log, memoryview):
-            # Zero-copy: a read-only view over someone else's buffer
-            # (the fleet shm fast path) — never materialise bytes.
-            if is_compressed_image(log):
-                return ColumnarLog(log)
-            return SharedLog.view(log)
-        if isinstance(log, (bytes, bytearray)):
-            if is_compressed_image(log):
-                return ColumnarLog(log)
-            return SharedLog.from_bytes(log)
-        if isinstance(log, str) or hasattr(log, "__fspath__"):
-            # Threshold-based: small files are slurped into a
-            # SharedLog, big ones become mmap-backed streams;
-            # rev 1.2 images dispatch to ColumnarLog.
-            return open_log(log)
-        raise AnalyzerError(f"cannot analyze {type(log).__name__}")

@@ -9,8 +9,9 @@ that: the persisted payload is the *columns* of the log, delta- and
 dictionary-transformed and LEB128-varint packed, in CRC-guarded
 blocks.  On the standard workloads the image shrinks 3-5x; decoding is
 one vectorised numpy pass per block, so ``open_log()`` and the
-analyzer consume rev 1.2 transparently through :class:`ColumnarLog`
-(which mirrors :class:`~repro.core.log.LogStream`'s read surface).
+analyzer consume rev 1.2 transparently through :class:`ColumnarLog`,
+which shares :class:`~repro.core.log.SharedLog`'s header accessors
+and ``iter_column_chunks`` read surface.
 
 Image layout (all integers little-endian u64 unless noted)::
 
@@ -68,6 +69,8 @@ from repro.core.log import (
     SharedLog,
     _ENTRY_SIZES,
     _HEADER,
+    _LogReader,
+    _unmap,
     _validate_header,
     _VERSION_SHIFT,
 )
@@ -294,10 +297,9 @@ def encode_log(source, block_entries=DEFAULT_CODEC_BLOCK,
                sort_by_thread=True):
     """Encode a log into a rev 1.2 compressed columnar image.
 
-    `source` is anything with the read surface of
-    :class:`~repro.core.log.SharedLog` / :class:`~repro.core.log.
-    LogStream` (a :class:`ColumnarLog` works too, so re-encoding is a
-    no-op round trip).  With `sort_by_thread` (default) entries are
+    `source` is any reader :func:`~repro.core.log.open_log` returns
+    (a :class:`ColumnarLog` works too, so re-encoding is a no-op round
+    trip).  With `sort_by_thread` (default) entries are
     stable-sorted by thread id first: per-thread order — the only
     order the format guarantees — is preserved exactly, and counters
     become near-monotonic within each thread's run, which is where
@@ -359,9 +361,9 @@ def decode_log(data):
         return log.to_shared_log()
 
 
-class ColumnarLog:
-    """A read-only rev 1.2 image with the :class:`~repro.core.log.
-    LogStream` read surface.
+class ColumnarLog(_LogReader):
+    """A read-only rev 1.2 image with :class:`~repro.core.log.
+    SharedLog`'s read surface.
 
     The header parses eagerly and the block directory is scanned once
     (offsets, counts, CRCs — no payload is touched); columns decode
@@ -372,9 +374,12 @@ class ColumnarLog:
     tolerant salvage is :mod:`repro.core.recovery`'s job.
     """
 
-    def __init__(self, buf, chunk_size=DEFAULT_CHUNK_ENTRIES, closer=None):
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be positive: {chunk_size}")
+    compressed = True
+    # Rev 1.2 has no seal journal; per-block CRCs guard integrity.
+    sealed = False
+    _seals = ()
+
+    def __init__(self, buf):
         header = _validate_header(buf)
         if not header[1] & FLAG_COMPRESSED:
             raise LogFormatError(
@@ -383,10 +388,8 @@ class ColumnarLog:
             )
         self._buf = buf
         self._header = header
-        self._version = (header[1] >> _VERSION_SHIFT) & 0xFFFF
-        self._entry_size = _ENTRY_SIZES[self._version]
-        self.chunk_size = chunk_size
-        self._closer = closer
+        self._capacity = header[4]
+        self._entry_size = _ENTRY_SIZES[self.version]
         magic_end = HEADER_SIZE + len(COLUMNAR_MAGIC)
         if bytes(buf[HEADER_SIZE:magic_end]) != COLUMNAR_MAGIC:
             raise LogFormatError(
@@ -419,88 +422,8 @@ class ColumnarLog:
             offset = payload_at + payload_len
         self._count = sum(b[1] for b in self._blocks)
 
-    @classmethod
-    def open(cls, path, chunk_size=DEFAULT_CHUNK_ENTRIES):
-        """Open a rev 1.2 file through an ``mmap`` mapping (falling
-        back to an in-memory read where mapping is impossible).  The
-        mapping keeps its own descriptor, so the file is closed at
-        once; a rejected image closes the mapping too."""
-        import mmap
-
-        with open(path, "rb") as fh:
-            try:
-                buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-            except (ValueError, OSError):
-                return cls(fh.read(), chunk_size)
-        try:
-            return cls(buf, chunk_size, closer=buf.close)
-        except BaseException:
-            buf.close()
-            raise
-
-    # ------------------------------------------------------------------
-    # Header accessors (the LogStream subset)
-
-    @property
-    def version(self):
-        return self._version
-
-    @property
-    def flags(self):
-        return self._header[1] & 0xFFFF
-
-    @property
-    def shm_base(self):
-        return self._header[2]
-
-    @property
-    def pid(self):
-        return self._header[3]
-
-    @property
-    def capacity(self):
-        return self._header[4]
-
-    @property
-    def tail(self):
-        return self._header[5]
-
-    @property
-    def profiler_addr(self):
-        return self._header[6]
-
-    @property
-    def multithread(self):
-        from repro.core.log import FLAG_MULTITHREAD
-
-        return bool(self.flags & FLAG_MULTITHREAD)
-
-    @property
-    def active(self):
-        from repro.core.log import FLAG_ACTIVE
-
-        return bool(self.flags & FLAG_ACTIVE)
-
-    @property
-    def entry_size(self):
-        return self._entry_size
-
-    @property
-    def sealed(self):
-        # Rev 1.2 has no seal journal; per-block CRCs guard integrity.
-        return False
-
-    @property
-    def seals(self):
-        return []
-
-    @property
-    def seal_watermark(self):
-        return self._header[7]
-
-    @property
-    def compressed(self):
-        return True
+    def _word(self, index):
+        return self._header[index]
 
     @property
     def nbytes(self):
@@ -529,15 +452,14 @@ class ColumnarLog:
                 f"repro.core.recovery.recover_log"
             )
         kind, counter, addr, tid, call_site = _decode_block_payload(
-            payload, count, self._version
+            payload, count, self.version
         )
         return LogColumns(kind, counter, addr, tid, call_site, start)
 
-    def iter_column_chunks(self, chunk_size=None):
+    def iter_column_chunks(self, chunk_size=DEFAULT_CHUNK_ENTRIES):
         """Yield :class:`~repro.core.log.LogColumns` spans of at most
         `chunk_size` — the analyzer's bulk-ingestion surface, decoded
         one block at a time."""
-        chunk_size = chunk_size or self.chunk_size
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be positive: {chunk_size}")
         start = 0
@@ -563,16 +485,6 @@ class ColumnarLog:
                         start + at,
                     )
             start += count
-
-    # Interchangeable with SharedLog/LogStream for the analyzer.
-    column_chunks = iter_column_chunks
-
-    def iter_chunks(self, chunk_size=None):
-        """Yield entries as lists of at most `chunk_size`."""
-        for cols in self.iter_column_chunks(chunk_size):
-            yield cols.entries()
-
-    chunks = iter_chunks
 
     def columns(self):
         """The whole image decoded as one :class:`~repro.core.log.
@@ -602,10 +514,6 @@ class ColumnarLog:
             0,
         )
 
-    def __iter__(self):
-        for chunk in self.iter_chunks():
-            yield from chunk
-
     def to_shared_log(self):
         """Expand into a fixed-width :class:`~repro.core.log.
         SharedLog` (the image's entry order, rev 1.0/1.1 flags)."""
@@ -615,7 +523,7 @@ class ColumnarLog:
             profiler_addr=self.profiler_addr,
             shm_base=self.shm_base,
             multithread=self.multithread,
-            version=self._version,
+            version=self.version,
         )
         for cols in self.iter_column_chunks():
             out.append_columns(
@@ -626,9 +534,9 @@ class ColumnarLog:
         return out
 
     def close(self):
-        if self._closer is not None:
-            self._closer()
-            self._closer = None
+        """Unmap the file the image was opened from (nothing to do for
+        bytes); the image must not be read afterwards."""
+        _unmap(self._buf)
 
     def __enter__(self):
         return self
@@ -640,6 +548,6 @@ class ColumnarLog:
     def __repr__(self):
         return (
             f"ColumnarLog(entries={self._count}, "
-            f"blocks={len(self._blocks)}, version={self._version}, "
+            f"blocks={len(self._blocks)}, version={self.version}, "
             f"nbytes={self.nbytes})"
         )

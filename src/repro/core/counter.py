@@ -58,6 +58,26 @@ os._exit(0)
 """
 
 
+def _off_this_core(pid):
+    """Keep process ``pid`` off the core the caller runs on.
+
+    A new child may start on its parent's core, and the scheduler can
+    take a second or more to move a spinning task to an idle core;
+    until then the counter and the recorder share one core and reads
+    microseconds apart see the same tick.  Best effort: with one usable
+    core, or without affinity calls, the child stays where it is.
+    """
+    try:
+        cpus = os.sched_getaffinity(0)
+        # Field 39 of the calling thread's stat: the CPU it runs on.
+        with open("/proc/thread-self/stat") as fh:
+            here = int(fh.read().rsplit(")", 1)[1].split()[36])
+        if len(cpus) > 1:
+            os.sched_setaffinity(pid, cpus - {here})
+    except (AttributeError, OSError, ValueError, IndexError):
+        pass
+
+
 class VirtualCounter:
     """Simulation-mode counter backed by the machine's virtual clock."""
 
@@ -115,9 +135,10 @@ class ProcessCounter:
     """Live-mode counter: a child process incrementing a shared word.
 
     :meth:`start` maps one page of an unlinked temp file, hands its fd
-    to a fresh interpreter (``subprocess``, never ``os.fork``) and
-    waits until the child's first store lands.  The child increments
-    word 0 until :meth:`stop` sets word 1, or until its parent is gone.
+    to a fresh interpreter (``subprocess``, never ``os.fork``), keeps
+    that child off the caller's core and waits until its first store
+    lands.  The child increments word 0 until :meth:`stop` sets word
+    1, or until its parent is gone.
     A read is one index into :attr:`words`, so the hooks can inline
     ``words[0]`` instead of calling :meth:`read`.
     """
@@ -152,6 +173,7 @@ class ProcessCounter:
             raise RecorderError(
                 f"cannot start the software counter process: {exc}"
             ) from exc
+        _off_this_core(proc.pid)
         words = memoryview(shared).cast("Q")
         deadline = time.monotonic() + _TIMEOUT_S
         while not words[0]:

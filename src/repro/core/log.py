@@ -57,7 +57,11 @@ Reading has a columnar fast path: :func:`decode_columns` turns a span
 of raw entries into :class:`LogColumns` — one array per field
 (kind/counter/addr/tid/call-site), decoded with a single vectorised
 ``numpy`` view — and :class:`LogEntry` objects are materialised
-lazily, only where a consumer asks for them.
+lazily, only where a consumer asks for them.  :func:`open_log` is the
+one place a source becomes a reader: a file is mapped read-only (a
+:class:`LogStream`, the :class:`SharedLog` subclass that owns the
+mapping, or a rev 1.2 :class:`~repro.core.columnar.ColumnarLog`), a
+buffer is wrapped in place.
 """
 
 import mmap
@@ -65,6 +69,7 @@ import os
 import struct
 import sys
 import threading
+import traceback
 import zlib
 from dataclasses import dataclass
 
@@ -106,7 +111,8 @@ FLAG_COMPRESSED = 1 << 5
 
 _VERSION_SHIFT = 16
 # Byte offset of the low byte of header word 1 — the flag bits, ACTIVE
-# among them — on every host: the log is little-endian.
+# and the event mask among them — on every host: the log is
+# little-endian.
 _FLAGS_BYTE = 8
 
 # Entry word 0: bit 63 is the kind, the low 63 bits the counter value.
@@ -217,10 +223,6 @@ DEFAULT_CHUNK_ENTRIES = 8192
 # fetch-and-add and one blit per 256 events.
 DEFAULT_WRITER_BLOCK = 256
 
-# On-disk logs at or above this size are opened as mmap-backed
-# LogStreams by default; smaller ones are cheaper to slurp whole.
-DEFAULT_MMAP_THRESHOLD = 1 << 20  # 1 MiB
-
 
 @dataclass(frozen=True)
 class LogEntry:
@@ -309,14 +311,13 @@ class LogColumns:
 def decode_columns(buf, version, start, count, copy=False):
     """Decode `count` consecutive entries at index `start` into columns.
 
-    The bulk read path shared by :meth:`SharedLog.iter_column_chunks`
-    and :meth:`LogStream.column_chunks`: one ``numpy.frombuffer`` view
-    reshaped to (count, words) and sliced per field — no per-entry
-    Python work at all.
+    The bulk read path behind :meth:`SharedLog.iter_column_chunks`:
+    one ``numpy.frombuffer`` view reshaped to (count, words) and
+    sliced per field — no per-entry Python work at all.
 
     With ``copy=True`` the columns are materialised (one vectorised
     memcpy) instead of viewing `buf` — required when `buf` must stay
-    closeable, e.g. an ``mmap`` held by a :class:`LogStream`.
+    closeable, e.g. the file mapping a :class:`LogStream` holds.
     """
     entry_size = _ENTRY_SIZES[version]
     offset = HEADER_SIZE + start * entry_size
@@ -333,17 +334,81 @@ def decode_columns(buf, version, start, count, copy=False):
     return LogColumns(kind, counter, mat[:, 1], mat[:, 2], call_site, start)
 
 
-def _decode_entries(buf, version, start, count):
-    """Decode `count` consecutive entries beginning at index `start`.
+class _LogReader:
+    """The read surface every log reader shares.
 
-    Object materialisation over the columnar fast path — kept for the
-    consumers that genuinely want :class:`LogEntry` objects
-    (:meth:`SharedLog.iter_chunks`, :class:`LogStream` iteration).
+    Header fields come from one lookup, ``_word(index)`` (header word
+    `index` as an int); a reader also sets ``_capacity``,
+    ``_entry_size`` and ``_seals``, and yields its entries through
+    ``iter_column_chunks``.
     """
-    return decode_columns(buf, version, start, count).entries()
+
+    @property
+    def flags(self):
+        return self._word(1) & 0xFFFF
+
+    @property
+    def version(self):
+        return (self._word(1) >> _VERSION_SHIFT) & 0xFFFF
+
+    @property
+    def shm_base(self):
+        return self._word(2)
+
+    @property
+    def pid(self):
+        return self._word(3)
+
+    @property
+    def capacity(self):
+        return self._capacity
+
+    @property
+    def tail(self):
+        return self._word(5)
+
+    @property
+    def profiler_addr(self):
+        return self._word(6)
+
+    @property
+    def active(self):
+        return bool(self.flags & FLAG_ACTIVE)
+
+    @property
+    def multithread(self):
+        return bool(self.flags & FLAG_MULTITHREAD)
+
+    @property
+    def entry_size(self):
+        return self._entry_size
+
+    @property
+    def sealed(self):
+        """Whether this log records sealed segments (flag bit 4)."""
+        return bool(self.flags & FLAG_SEALED)
+
+    @property
+    def seals(self):
+        """The seal journal: :class:`SealRecord` per sealed segment."""
+        return list(self._seals)
+
+    @property
+    def seal_watermark(self):
+        """Entries in the contiguous sealed prefix (header word 7).
+
+        Monotonic: a reader may treat entries below the watermark as
+        committed without consulting the journal, even when a crash
+        (or a truncation that ate the trailer) lost the CRC records.
+        """
+        return self._word(7)
+
+    def __iter__(self):
+        for cols in self.iter_column_chunks():
+            yield from cols.entries()
 
 
-class SharedLog:
+class SharedLog(_LogReader):
     """The shared-memory log: header + append-only entry array.
 
     The buffer is a plain ``bytearray`` by default; in live mode real
@@ -602,44 +667,12 @@ class SharedLog:
             mirror[0] = value & FLAG_MASK_CALLS
             mirror[1] = value & FLAG_MASK_RETS
 
-    @property
-    def flags(self):
-        return self._word(1) & 0xFFFF
-
-    @property
-    def version(self):
-        return (self._word(1) >> _VERSION_SHIFT) & 0xFFFF
-
-    @property
-    def shm_base(self):
-        return self._word(2)
-
-    @property
-    def pid(self):
-        return self._word(3)
-
-    @property
-    def capacity(self):
-        return self._capacity
-
-    @property
-    def tail(self):
-        return self._word(5)
-
-    @property
-    def profiler_addr(self):
-        return self._word(6)
-
     def set_profiler_addr(self, addr):
         """The recorder stores the well-known function address here."""
         self._set_word(6, addr)
 
     def set_pid(self, pid):
         self._set_word(3, pid)
-
-    @property
-    def active(self):
-        return bool(self.flags & FLAG_ACTIVE)
 
     def set_active(self, active):
         """Flip the ACTIVE flag (atomic on real hardware; here the GIL
@@ -650,14 +683,6 @@ class SharedLog:
         else:
             word &= ~FLAG_ACTIVE
         self._set_word(1, word)
-
-    @property
-    def multithread(self):
-        return bool(self.flags & FLAG_MULTITHREAD)
-
-    @property
-    def entry_size(self):
-        return self._entry_size
 
     def measures(self, kind):
         """Whether the event mask admits this event kind."""
@@ -677,26 +702,6 @@ class SharedLog:
 
     # ------------------------------------------------------------------
     # Sealing (crash consistency)
-
-    @property
-    def sealed(self):
-        """Whether this log records sealed segments (flag bit 4)."""
-        return bool(self.flags & FLAG_SEALED)
-
-    @property
-    def seals(self):
-        """The seal journal: :class:`SealRecord` per sealed segment."""
-        return list(self._seals)
-
-    @property
-    def seal_watermark(self):
-        """Entries in the contiguous sealed prefix (header word 7).
-
-        Monotonic: a reader may treat entries below the watermark as
-        committed without consulting the journal, even when a crash
-        (or a truncation that ate the trailer) lost the CRC records.
-        """
-        return self._word(7)
 
     def _crc_block(self, start, count):
         offset = HEADER_SIZE + start * self._entry_size
@@ -917,42 +922,33 @@ class SharedLog:
         kind = KIND_RET if word0 & _KIND_BIT else KIND_CALL
         return LogEntry(kind, word0 & COUNTER_MASK, addr, tid, call_site)
 
-    def __iter__(self):
-        for index in range(self._readable()):
-            yield self.entry(index)
-
-    def iter_chunks(self, chunk_size=DEFAULT_CHUNK_ENTRIES):
-        """Yield entries as lists of at most `chunk_size`, in log order.
-
-        The streaming analyzer's ingestion path: decoding happens one
-        chunk at a time (bulk ``iter_unpack``), so a consumer never
-        holds more than `chunk_size` decoded entries per chunk.
-        """
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be positive: {chunk_size}")
-        total = self._readable()
-        for start in range(0, total, chunk_size):
-            yield _decode_entries(
-                self._buf, self.version, start, min(chunk_size, total - start)
-            )
+    # Decoded columns view the buffer; a reader that closes its buffer
+    # decodes into copies instead.
+    _copy_columns = False
 
     def iter_column_chunks(self, chunk_size=DEFAULT_CHUNK_ENTRIES):
-        """Yield :class:`LogColumns` spans of at most `chunk_size`.
+        """Yield :class:`LogColumns` spans of at most `chunk_size`, in
+        log order.
 
         The analyzer's bulk-ingestion path: no :class:`LogEntry`
-        objects are built — each span is one vectorised decode.
+        objects are built — each span is one vectorised decode, so a
+        consumer never holds more than one decoded chunk at a time.
         """
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be positive: {chunk_size}")
         total = self._readable()
         for start in range(0, total, chunk_size):
             yield decode_columns(
-                self._buf, self.version, start, min(chunk_size, total - start)
+                self._buf, self.version, start,
+                min(chunk_size, total - start), copy=self._copy_columns,
             )
 
     def columns(self):
         """The whole log decoded as one :class:`LogColumns` span."""
-        return decode_columns(self._buf, self.version, 0, self._readable())
+        return decode_columns(
+            self._buf, self.version, 0, self._readable(),
+            copy=self._copy_columns,
+        )
 
     def _store_tail(self):
         # tail_or_live, not _next_free: an attached reader whose
@@ -967,7 +963,7 @@ class SharedLog:
 
     def __repr__(self):
         return (
-            f"SharedLog(entries={len(self)}/{self._capacity}, "
+            f"{type(self).__name__}(entries={len(self)}/{self._capacity}, "
             f"active={self.active}, dropped={self.dropped})"
         )
 
@@ -1125,18 +1121,24 @@ class ThreadLogWriter:
             """The live hook ``on_event(kind, addr)`` of thread `tid`.
 
             It stages into this writer's buffer, so it and
-            :attr:`append` may be mixed.  ACTIVE is read from the
-            log's own header bytes at every event (a flag flipped
-            through another mapping of the log is honoured; a byte
-            index allocates nothing, unlike a u64 word read); ACTIVE
-            and the mask are tested before the tick is read, so a
-            dropped event costs two indexes.  The tick comes inline
+            :attr:`append` may be mixed.  ACTIVE and the event mask
+            are read from the log's own flags byte at every event (a
+            flag flipped through another mapping of the log is
+            honoured; a byte index allocates nothing, unlike a u64
+            word read), and tested before the tick is read, so a
+            dropped event costs one byte index.  The tick comes inline
             from the shared word of a
             :class:`~repro.core.counter.ProcessCounter`
             (``counter.words[0]``), through ``read()`` from any other
             counter.  A v2 entry is packed with call site 0.
             """
             header = log._buf
+            # The flag bits an event needs set, per kind (KIND_CALL is
+            # 0, KIND_RET is 1): ACTIVE and the kind's mask bit.
+            need_flags = (
+                FLAG_ACTIVE | FLAG_MASK_CALLS,
+                FLAG_ACTIVE | FLAG_MASK_RETS,
+            )
             pack = (
                 _ENTRY_V2_NO_SITE if entry_size == ENTRY_SIZE_V2 else _ENTRY
             ).pack_into
@@ -1144,12 +1146,13 @@ class ThreadLogWriter:
             if ticks is not None:
 
                 def on_event(kind, addr, _hdr=header, _at=_FLAGS_BYTE,
-                             _active=FLAG_ACTIVE, _meas=meas,
-                             _ticks=ticks, _tid=tid, _mask=COUNTER_MASK,
-                             _kbit=_KIND_BIT, _stage=stage, _pack=pack,
+                             _need=need_flags, _ticks=ticks, _tid=tid,
+                             _mask=COUNTER_MASK, _kbit=_KIND_BIT,
+                             _stage=stage, _pack=pack,
                              _es=entry_size, _cap=block * entry_size):
                     nonlocal pos
-                    if not _hdr[_at] & _active or not _meas[kind]:
+                    need = _need[kind]
+                    if _hdr[_at] & need != need:
                         return
                     _pack(_stage, pos, _ticks[0] & _mask | (kind and _kbit),
                           addr, _tid)
@@ -1160,13 +1163,13 @@ class ThreadLogWriter:
             else:
 
                 def on_event(kind, addr, _hdr=header, _at=_FLAGS_BYTE,
-                             _active=FLAG_ACTIVE, _meas=meas,
-                             _read=counter.read, _tid=tid,
-                             _mask=COUNTER_MASK, _kbit=_KIND_BIT,
+                             _need=need_flags, _read=counter.read,
+                             _tid=tid, _mask=COUNTER_MASK, _kbit=_KIND_BIT,
                              _stage=stage, _pack=pack,
                              _es=entry_size, _cap=block * entry_size):
                     nonlocal pos
-                    if not _hdr[_at] & _active or not _meas[kind]:
+                    need = _need[kind]
+                    if _hdr[_at] & need != need:
                         return
                     _pack(_stage, pos, _read() & _mask | (kind and _kbit),
                           addr, _tid)
@@ -1253,214 +1256,115 @@ def is_compressed_image(data):
     return magic == MAGIC and bool(word1 & FLAG_COMPRESSED)
 
 
-def open_log(path, mmap_threshold=DEFAULT_MMAP_THRESHOLD,
-             chunk_size=DEFAULT_CHUNK_ENTRIES):
-    """Open a persisted log read-optimally for its size.
+def _map_file(path):
+    """The file at `path` as a read-only ``mmap``, or as ``bytes``
+    where it cannot be mapped (an empty file, a filesystem without
+    mmap).  The mapping keeps its own descriptor, so the file is
+    closed at once; :func:`_unmap` releases it."""
+    with open(path, "rb") as fh:
+        try:
+            return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        except (ValueError, OSError):
+            return fh.read()
 
-    Files at or above `mmap_threshold` bytes come back as a
-    mmap-backed :class:`LogStream` (the kernel pages entries in as
-    they are decoded — nothing is slurped); smaller files are loaded
-    whole as a :class:`SharedLog`, which is cheaper than a mapping for
-    logs that fit comfortably in memory.  Pass ``mmap_threshold=0`` to
-    always stream, or ``float("inf")`` to always load.
 
-    Compressed rev 1.2 images (``FLAG_COMPRESSED``) dispatch to a
-    :class:`repro.core.columnar.ColumnarLog`, which exposes the same
-    read surface — consumers never notice the format.
+def _unmap(buf):
+    """Close what :func:`_map_file` returned (bytes need nothing).
+
+    Closed while an exception propagates, the mapping may still be
+    viewed from the finished frames of that exception's traceback (a
+    reader that raised mid-decode); their locals are dropped and the
+    close retried.  A view held anywhere else still fails the close.
     """
+    if not isinstance(buf, mmap.mmap):
+        return
     try:
-        size = os.path.getsize(path)
-    except OSError:
-        size = 0
-    if size >= 16:
-        with open(path, "rb") as fh:
-            head = fh.read(16)
-        if is_compressed_image(head):
-            from repro.core.columnar import ColumnarLog
-
-            return ColumnarLog.open(path, chunk_size)
-    if size >= mmap_threshold:
-        return LogStream.open(path, chunk_size)
-    return SharedLog.load(path)
+        buf.close()
+    except BufferError as err:
+        pending = err.__context__
+        if pending is None:
+            raise
+        while pending is not None:
+            traceback.clear_frames(pending.__traceback__)
+            pending = pending.__context__
+        buf.close()
 
 
-class LogStream:
-    """A read-only, chunked view of a persisted log.
+def _open_mapped(reader, path):
+    """``reader(buf)`` over :func:`_map_file` of `path`; a rejected
+    image closes the mapping again."""
+    buf = _map_file(path)
+    try:
+        return reader(buf)
+    except BaseException:
+        _unmap(buf)
+        raise
 
-    Where :class:`SharedLog` materialises the whole image in a
-    ``bytearray``, a stream parses the 64-byte header eagerly and
-    decodes entries lazily in fixed-size chunks, so the analyzer can
-    keep up with logs far larger than memory: :meth:`open` maps the
-    file with ``mmap`` (the kernel pages the log in and out as chunks
-    are decoded) and :meth:`chunks` never holds more than one decoded
-    chunk at a time.
 
-    Header accessors mirror :class:`SharedLog`; the write side does
-    not exist here by design.
+def _mapped_reader(buf):
+    from repro.core.columnar import ColumnarLog
+
+    if is_compressed_image(buf):
+        return ColumnarLog(buf)
+    return LogStream(buf)
+
+
+def open_log(source):
+    """Open a log for reading; the one place a source becomes a reader.
+
+    * A path is mapped read-only (read whole only where it cannot be
+      mapped): a fixed-width image opens as a :class:`LogStream`, a
+      rev 1.2 compressed image as a
+      :class:`~repro.core.columnar.ColumnarLog`.  Both decode lazily,
+      so a log far larger than memory streams through a constant
+      working set.
+    * ``bytes``, a ``bytearray`` or a ``memoryview`` is wrapped in
+      place, without a copy: a :class:`SharedLog` view, or a
+      ``ColumnarLog`` for a compressed image.
+    * An open reader is returned as it is.
+
+    Close what a path opened (``close()`` or a ``with`` block); on a
+    wrapped buffer ``close()`` does nothing.  Any other source raises
+    :class:`TypeError`.
+    """
+    from repro.core.columnar import ColumnarLog
+
+    if isinstance(source, (SharedLog, ColumnarLog)):
+        return source
+    if isinstance(source, (str, os.PathLike)):
+        return _open_mapped(_mapped_reader, source)
+    if isinstance(source, (bytes, bytearray, memoryview)):
+        if is_compressed_image(source):
+            return ColumnarLog(source)
+        return SharedLog.view(source)
+    raise TypeError(f"cannot open a log from {type(source).__name__}")
+
+
+class LogStream(SharedLog):
+    """A persisted fixed-width log, read through a read-only mapping
+    of its file.
+
+    :func:`open_log` opens every fixed-width file this way: the kernel
+    pages entries in as chunks are decoded, so nothing is read whole.
+    The read surface is :class:`SharedLog`'s; what differs is the
+    lifetime.  Columns decode into copies, so they outlive
+    :meth:`close`, which unmaps the file.
     """
 
-    def __init__(self, buf, chunk_size=DEFAULT_CHUNK_ENTRIES, closer=None):
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be positive: {chunk_size}")
-        header = _validate_header(buf)
-        if header[1] & FLAG_COMPRESSED:
-            raise LogFormatError(
-                "compressed (rev 1.2) image: use "
-                "repro.core.columnar.ColumnarLog (open_log() "
-                "dispatches automatically)"
-            )
-        version = (header[1] >> _VERSION_SHIFT) & 0xFFFF
-        self._buf = buf
-        self._header = header
-        self._version = version
-        self._entry_size = _ENTRY_SIZES[version]
-        self.chunk_size = chunk_size
-        self._closer = closer
-        # Entries available: the stored tail, clipped by capacity (the
-        # analyzer's dismissal rule) and by the bytes actually present
-        # (a snapshot taken mid-write may be short).
-        in_buffer = (len(buf) - HEADER_SIZE) // self._entry_size
-        self._count = min(header[5], header[4], in_buffer)
-        array_end = min(
-            len(buf), HEADER_SIZE + header[4] * self._entry_size
-        )
-        self._seals = (
-            _parse_seal_journal(buf, array_end, header[4])
-            if header[1] & FLAG_SEALED
-            else []
-        )
+    _copy_columns = True
 
     @classmethod
-    def open(cls, path, chunk_size=DEFAULT_CHUNK_ENTRIES):
-        """Stream a persisted log file through an ``mmap`` mapping.
-
-        Falls back to reading the file into memory where mapping is
-        impossible (empty file, exotic filesystem).  The mapping keeps
-        its own descriptor, so the file is closed at once; a rejected
-        header closes the mapping too.
-        """
-        with open(path, "rb") as fh:
-            try:
-                buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-            except (ValueError, OSError):
-                return cls(fh.read(), chunk_size)
-        try:
-            return cls(buf, chunk_size, closer=buf.close)
-        except BaseException:
-            buf.close()
-            raise
-
-    # ------------------------------------------------------------------
-    # Header accessors (the SharedLog subset a reader needs)
-
-    @property
-    def version(self):
-        return self._version
-
-    @property
-    def flags(self):
-        return self._header[1] & 0xFFFF
-
-    @property
-    def shm_base(self):
-        return self._header[2]
-
-    @property
-    def pid(self):
-        return self._header[3]
-
-    @property
-    def capacity(self):
-        return self._header[4]
-
-    @property
-    def tail(self):
-        return self._header[5]
-
-    @property
-    def profiler_addr(self):
-        return self._header[6]
-
-    @property
-    def multithread(self):
-        return bool(self.flags & FLAG_MULTITHREAD)
-
-    @property
-    def active(self):
-        return bool(self.flags & FLAG_ACTIVE)
-
-    @property
-    def entry_size(self):
-        return self._entry_size
-
-    @property
-    def sealed(self):
-        return bool(self.flags & FLAG_SEALED)
-
-    @property
-    def seals(self):
-        """The seal journal parsed from the image trailer."""
-        return list(self._seals)
-
-    @property
-    def seal_watermark(self):
-        return self._header[7]
-
-    # ------------------------------------------------------------------
-    # Reading
-
-    def __len__(self):
-        return self._count
-
-    def chunks(self, chunk_size=None):
-        """Yield entries as lists of at most `chunk_size`, in log order."""
-        chunk_size = chunk_size or self.chunk_size
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be positive: {chunk_size}")
-        for start in range(0, self._count, chunk_size):
-            yield _decode_entries(
-                self._buf,
-                self._version,
-                start,
-                min(chunk_size, self._count - start),
-            )
-
-    # `iter_chunks` so SharedLog and LogStream are interchangeable to
-    # the analyzer's ingestion loop.
-    iter_chunks = chunks
-
-    def column_chunks(self, chunk_size=None):
-        """Yield :class:`LogColumns` spans of at most `chunk_size` —
-        the vectorised counterpart of :meth:`chunks`."""
-        chunk_size = chunk_size or self.chunk_size
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be positive: {chunk_size}")
-        for start in range(0, self._count, chunk_size):
-            # copy=True: the columns must not pin the mmap — callers may
-            # hold them (analyzer shards do) after the stream closes.
-            yield decode_columns(
-                self._buf,
-                self._version,
-                start,
-                min(chunk_size, self._count - start),
-                copy=True,
-            )
-
-    # Interchangeable with SharedLog for the analyzer's column path.
-    iter_column_chunks = column_chunks
-
-    def columns(self):
-        """The whole stream decoded as one :class:`LogColumns` span."""
-        return decode_columns(self._buf, self._version, 0, self._count, copy=True)
-
-    def __iter__(self):
-        for chunk in self.chunks():
-            yield from chunk
+    def open(cls, path):
+        """Map the file at `path`; a rejected header unmaps it again."""
+        return _open_mapped(cls, path)
 
     def close(self):
-        if self._closer is not None:
-            self._closer()
-            self._closer = None
+        """Unmap the file; the stream must not be read afterwards."""
+        if self._words is not None:
+            self._words.release()
+            self._words = None
+        buf, self._buf = self._buf, b""
+        _unmap(buf)
 
     def __enter__(self):
         return self
@@ -1468,9 +1372,3 @@ class LogStream:
     def __exit__(self, *exc):
         self.close()
         return False
-
-    def __repr__(self):
-        return (
-            f"LogStream(entries={self._count}/{self.capacity}, "
-            f"version={self._version}, chunk_size={self.chunk_size})"
-        )

@@ -3,7 +3,8 @@
 The recorder lives outside the TEE precisely so the log survives an
 application crash (paper §Recorder); this module is the reader-side
 half of that promise.  Given a snapshot that may be truncated, torn
-mid-entry, or corrupted after the fact, :func:`recover_log` classifies
+mid-entry, or corrupted after the fact — a buffer, or a file it maps
+read-only rather than reading whole — :func:`recover_log` classifies
 every byte of the entry array and rebuilds a clean log from the parts
 that are provably (or plausibly) committed:
 
@@ -47,9 +48,10 @@ from repro.core.log import (
     HEADER_SIZE,
     KIND_CALL,
     KIND_RET,
-    LogStream,
     SharedLog,
+    _map_file,
     _merge_intervals,
+    _unmap,
     _validate_header,
     _VERSION_SHIFT,
     is_compressed_image,
@@ -200,7 +202,7 @@ def _subtract(intervals, holes):
 
 
 def _coerce(source):
-    """Normalise any log source for salvage, without copying.
+    """Normalise an in-memory log source for salvage, without copying.
 
     Fixed-width images come back as a tolerantly-parsed, *read-only*
     :class:`SharedLog` view over the caller's buffer (salvage never
@@ -211,16 +213,10 @@ def _coerce(source):
     """
     if isinstance(source, SharedLog):
         return source
-    if isinstance(source, LogStream):
-        source = source._buf
-    else:
-        from repro.core.columnar import ColumnarLog
+    from repro.core.columnar import ColumnarLog
 
-        if isinstance(source, ColumnarLog):
-            source = source._buf
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "rb") as fh:
-            source = fh.read()
+    if isinstance(source, ColumnarLog):
+        source = source._buf
     try:
         view = memoryview(source)
     except TypeError:
@@ -459,10 +455,11 @@ def _recover_columnar(data):
 def recover_log(source, repair=False):
     """Salvage every committed region of a possibly damaged log.
 
-    `source` may be a path, raw bytes/memoryview (zero-copy), a
-    :class:`SharedLog`, a :class:`LogStream`, or a rev 1.2 compressed
-    image (any of the above shapes — salvage dispatches on the header
-    flag and quarantines per codec block).  Returns ``(salvaged,
+    `source` may be a path (mapped read-only, and unmapped before
+    this returns or raises), raw bytes/memoryview (zero-copy), any
+    reader :func:`~repro.core.log.open_log` returns, or a rev 1.2
+    compressed image in any of those shapes — salvage dispatches on
+    the header flag and quarantines per codec block.  Returns ``(salvaged,
     report)`` — a fresh, clean :class:`SharedLog` holding the
     recovered entries in log order, and the :class:`RecoveryReport`
     describing everything that was kept, repaired, or quarantined
@@ -475,6 +472,12 @@ def recover_log(source, repair=False):
     itself is too damaged to describe a log (no magic, no layout —
     there is nothing principled to salvage without it).
     """
+    if isinstance(source, (str, os.PathLike)):
+        buf = _map_file(source)
+        try:
+            return recover_log(buf, repair)
+        finally:
+            _unmap(buf)
     log = _coerce(source)
     if isinstance(log, memoryview):
         salvaged, report = _recover_columnar(log)

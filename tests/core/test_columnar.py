@@ -36,6 +36,7 @@ from repro.core.columnar import (
 )
 from repro.core.errors import LogFormatError
 from repro.core.recovery import REASON_CRC, REASON_TRUNCATED
+from tests.oracles.batch import read_entries
 
 U64_MAX = (1 << 64) - 1
 
@@ -126,11 +127,11 @@ def test_identity_oracle(events, block_entries):
     )
     col = ColumnarLog(image)
     assert len(col) == len(log)
-    assert list(col) == list(log)
+    assert list(col) == read_entries(log)
     # The convert-back path restores a fixed-width log with the same
     # entries and header identity.
     back = decode_log(image)
-    assert list(back) == list(log)
+    assert read_entries(back) == read_entries(log)
     assert (back.version, back.pid, back.profiler_addr) == (
         log.version, log.pid, log.profiler_addr
     )
@@ -143,7 +144,7 @@ def test_thread_sort_preserves_per_thread_order(events):
     col = ColumnarLog(encode_log(log, sort_by_thread=True))
     for tid in {e[3] for e in events}:
         assert [e for e in col if e.tid == tid] == [
-            e for e in log if e.tid == tid
+            e for e in read_entries(log) if e.tid == tid
         ]
 
 
@@ -154,7 +155,7 @@ def test_v2_call_sites_roundtrip():
     log._store_tail()
     col = ColumnarLog(encode_log(log, sort_by_thread=False))
     assert col.version == 2 and col.entry_size == 32
-    assert list(col) == list(log)
+    assert list(col) == read_entries(log)
 
 
 def test_empty_log_roundtrip():
@@ -172,7 +173,7 @@ def test_single_entry_blocks_make_one_block_per_entry():
     col = ColumnarLog(encode_log(log, block_entries=1,
                                  sort_by_thread=False))
     assert col.block_count == 5
-    assert list(col) == list(log)
+    assert list(col) == read_entries(log)
 
 
 def test_compression_on_the_call_return_shape():
@@ -212,6 +213,22 @@ def test_strict_reader_raises_on_crc_damage():
         list(ColumnarLog(bytes(damaged)))
 
 
+def test_analyze_path_raises_on_crc_damage(tmp_path):
+    """Read from a file, a damaged block raises the strict reader's
+    error; closing the mapping while the traceback still views it
+    must not turn that into a BufferError."""
+    from repro.api import Analyzer
+    from repro.symbols import BinaryImage
+
+    _, image = _blocked_image()
+    damaged = bytearray(image)
+    damaged[ColumnarLog(image)._blocks[1][0] + 5] ^= 0xFF
+    path = tmp_path / "damaged.teeperf"
+    path.write_bytes(damaged)
+    with pytest.raises(LogFormatError, match="salvage with"):
+        Analyzer(BinaryImage("app")).analyze(str(path))
+
+
 def test_corruption_quarantines_exactly_the_damaged_block():
     log, image = _blocked_image(n_blocks=3, per_block=100)
     col = ColumnarLog(image)
@@ -228,8 +245,8 @@ def test_corruption_quarantines_exactly_the_damaged_block():
     assert (bad.start, bad.count, bad.reason) == (100, 100, REASON_CRC)
     # Every healthy block survives verbatim — including the one
     # *after* the damage (payload_len lets the scan skip the wreck).
-    entries = list(log)
-    assert list(salvaged) == entries[:100] + entries[200:]
+    entries = read_entries(log)
+    assert read_entries(salvaged) == entries[:100] + entries[200:]
 
 
 def test_truncation_quarantines_the_missing_tail():
@@ -240,7 +257,7 @@ def test_truncation_quarantines_the_missing_tail():
 
     salvaged, report = recover_log(cut)
     assert report.entries_salvaged == 200
-    assert list(salvaged) == list(log)[:200]
+    assert read_entries(salvaged) == read_entries(log)[:200]
     [tail] = report.quarantined
     assert (tail.start, tail.count, tail.reason) == (
         200, 100, REASON_TRUNCATED

@@ -1,7 +1,7 @@
 """The columnar decode path: LogColumns / decode_columns / open_log.
 
 The bulk reader must agree entry-for-entry with the object-at-a-time
-decode on every log shape and — when fed from an mmap-backed
+decode on every log shape and — when fed from a file mapped as a
 LogStream — never pin the mapping (columns are copies there, so
 ``close`` always succeeds).
 """
@@ -9,8 +9,10 @@ LogStream — never pin the mapping (columns are copies there, so
 import pytest
 
 from repro.api import SharedLog, open_log
-from repro.core import DEFAULT_MMAP_THRESHOLD, KIND_CALL, KIND_RET, LogStream
+from repro.core import HEADER_SIZE, KIND_CALL, KIND_RET, LogStream
+from repro.core.columnar import ColumnarLog, encode_log
 from repro.core.log import VERSION_2
+from tests.oracles.batch import read_entries
 
 
 def sample_log(version=None, n=10):
@@ -28,9 +30,9 @@ def test_columns_match_entry_decode(version):
     log = sample_log(version)
     cols = log.columns()
     assert len(cols) == len(log)
-    assert cols.entries() == list(log)
+    expected = read_entries(log)
+    assert cols.entries() == expected
     kinds, counters, addrs, tids, call_sites = cols.as_lists()
-    expected = list(log)
     assert kinds == [e.kind for e in expected]
     assert counters == [e.counter for e in expected]
     assert addrs == [e.addr for e in expected]
@@ -65,7 +67,7 @@ def test_column_chunks_cover_log_in_order():
     assert [len(s) for s in spans] == [4, 4, 2]
     assert [s.start for s in spans] == [0, 4, 8]
     flattened = [e for s in spans for e in s.entries()]
-    assert flattened == list(log)
+    assert flattened == read_entries(log)
     with pytest.raises(ValueError):
         list(log.iter_column_chunks(0))
 
@@ -91,39 +93,35 @@ def test_stream_columns_do_not_pin_the_mmap(tmp_path):
     path = tmp_path / "run.teeperf"
     log.dump(str(path))
     stream = LogStream.open(str(path))
-    held = list(stream.column_chunks(3))  # survive close on purpose
+    held = list(stream.iter_column_chunks(3))  # survive close on purpose
     whole = stream.columns()
     stream.close()  # must not raise "exported pointers exist"
     flattened = [e for s in held for e in s.entries()]
-    assert flattened == list(log)
-    assert whole.entries() == list(log)
+    assert flattened == read_entries(log)
+    assert whole.entries() == read_entries(log)
 
 
-def test_open_log_picks_by_size(tmp_path):
+def test_open_log_maps_files_and_wraps_buffers_in_place(tmp_path):
+    """Every file is mapped, whatever its size: fixed-width opens as a
+    LogStream, rev 1.2 as a ColumnarLog.  A buffer is wrapped in
+    place, so a byte flipped in it after open_log shows in the reader;
+    an open reader comes back as it is."""
     log = sample_log()
-    small = tmp_path / "small.teeperf"
-    log.dump(str(small))
-    opened = open_log(str(small))
-    assert isinstance(opened, SharedLog)
-    streamed = open_log(str(small), mmap_threshold=0)
-    try:
-        assert isinstance(streamed, LogStream)
-        assert list(streamed) == list(log)
-    finally:
-        streamed.close()
-    assert small.stat().st_size < DEFAULT_MMAP_THRESHOLD
-
-
-def test_open_log_threshold_boundary(tmp_path):
-    log = sample_log()
-    path = tmp_path / "run.teeperf"
-    log.dump(str(path))
-    size = path.stat().st_size
-    at = open_log(str(path), mmap_threshold=size)
-    try:
-        assert isinstance(at, LogStream)  # >= threshold streams
-    finally:
-        at.close()
-    assert isinstance(
-        open_log(str(path), mmap_threshold=size + 1), SharedLog
-    )
+    fixed = tmp_path / "run.teeperf"
+    log.dump(str(fixed))
+    compressed = tmp_path / "run.tpc"
+    compressed.write_bytes(encode_log(log, sort_by_thread=False))
+    with open_log(str(fixed)) as stream:
+        assert isinstance(stream, LogStream)
+        assert list(stream) == read_entries(log)
+    with open_log(compressed) as col:
+        assert isinstance(col, ColumnarLog)
+        assert list(col) == read_entries(log)
+    data = bytearray(log.to_bytes())
+    wrapped = open_log(data)
+    assert wrapped.entry(0).addr == 0x1000
+    data[HEADER_SIZE + 8] ^= 0x01  # low byte of entry 0's address
+    assert wrapped.entry(0).addr == 0x1001
+    assert open_log(wrapped) is wrapped
+    with pytest.raises(TypeError):
+        open_log(42)

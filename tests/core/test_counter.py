@@ -114,6 +114,23 @@ def test_process_counter_ticks_while_a_thread_holds_the_gil():
     assert advanced > pairs // 4, f"{advanced} of {pairs} reads advanced"
 
 
+def test_process_counter_child_keeps_off_the_callers_core():
+    """start pins the child to every allowed core but the one the
+    caller ran on; the scheduler alone may leave the two on one core
+    for a second or more."""
+    cpus = os.sched_getaffinity(0)
+    counter = ProcessCounter()
+    counter.start()
+    try:
+        placed = os.sched_getaffinity(counter._proc.pid)
+    finally:
+        counter.stop()
+    if len(cpus) > 1:
+        assert placed < cpus and len(placed) == len(cpus) - 1
+    else:
+        assert placed == cpus
+
+
 def test_process_counter_child_is_gone_when_stop_returns():
     counter = ProcessCounter()
     counter.start()

@@ -375,6 +375,25 @@ def test_live_hooks_read_active_through_another_mapping():
         log.close(unlink=True)
 
 
+def test_live_hooks_read_the_event_mask_through_another_mapping():
+    """The event mask is read from the same header byte as ACTIVE, so
+    calls masked off through a second mapping are not staged."""
+    log = SharedLog.create(64, shm=True)
+    other = SharedLog.attach(log.shm_name)
+    try:
+        hooks = LiveHooks(WriterPool(log, 1), PerfCounterClock())
+        other.set_active(True)
+        other.set_event_mask(calls=False)
+        assert not log.measures(KIND_CALL)
+        hooks.on_event(KIND_CALL, 0x1000)
+        hooks.on_event(KIND_RET, 0x1000)
+        assert len(log) == 1
+        assert log.entry(0).kind == KIND_RET
+    finally:
+        other.close()
+        log.close(unlink=True)
+
+
 # ----------------------------------------------------------------------
 # The live hook against the per-event oracle
 

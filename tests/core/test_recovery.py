@@ -32,6 +32,7 @@ from repro.core import (
     KIND_RET,
     ThreadLogWriter,
 )
+from repro.core.columnar import encode_log
 from repro.core.errors import LogFormatError, RecoveryError
 from repro.core.recovery import (
     REASON_CRC,
@@ -250,6 +251,50 @@ def test_truncation_eats_journal_watermark_vouches_prefix(image):
     assert list(salvaged) == list(log)[:k]
     reasons = {q.reason for q in report.quarantined}
     assert "torn-entry" in reasons or "truncated" in reasons
+
+
+def _garbage_image(image):
+    return b"this is not a teeperf log, not even close....." * 4
+
+
+def _unknown_version_image(image):
+    """A rev 1.2 header naming an entry layout no reader knows: the
+    header check fails only after salvage has viewed the buffer."""
+    data = bytearray(encode_log(sealed_log(image, repeats=1, block=6)))
+    data[10] = 0x7F  # version field of header word 1
+    return bytes(data)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_garbage_image, _unknown_version_image],
+    ids=["garbage", "bad-version"],
+)
+def test_recover_log_path_raises_like_bytes(image, tmp_path, make):
+    """A file salvage must refuse raises the same LogFormatError from
+    its path as from its bytes: the mapping is closed on the way out
+    (no BufferError from views the traceback still holds)."""
+    data = make(image)
+    path = tmp_path / "bad.teeperf"
+    path.write_bytes(data)
+    with pytest.raises(LogFormatError) as from_bytes:
+        recover_log(data)
+    with pytest.raises(LogFormatError) as from_path:
+        recover_log(str(path))
+    assert str(from_path.value) == str(from_bytes.value)
+
+
+def test_recover_log_path_salvages_like_bytes(image, tmp_path):
+    """A file cut mid-entry salvages from its path exactly as from its
+    bytes."""
+    log = sealed_log(image, repeats=4, block=6)
+    cut = log.to_bytes()[: HEADER_SIZE + 13 * log.entry_size + 7]
+    path = tmp_path / "cut.teeperf"
+    path.write_bytes(cut)
+    salvaged, report = recover_log(path)
+    expected, expected_report = recover_log(cut)
+    assert report.to_dict() == expected_report.to_dict()
+    assert list(salvaged) == list(expected) == list(log)[:13]
 
 
 # ---------------------------------------------------------------------------

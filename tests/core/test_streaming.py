@@ -14,11 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import Analyzer, SharedLog
+import repro.core.analyzer as analyzer_module
+from repro.api import Analyzer, SharedLog, open_log
 from repro.core import KIND_CALL, KIND_RET, LogStream, PipelineStats, to_json
 from repro.core.log import VERSION_2
 from repro.symbols import BinaryImage, CachedResolver
-from tests.oracles.batch import analyze_batch
+from tests.oracles.batch import analyze_batch, read_entries
 
 
 @pytest.fixture
@@ -151,15 +152,26 @@ def test_streaming_matches_batch_on_all_fixtures(image, jobs, chunk_size):
 
 
 @pytest.mark.parametrize("jobs", [1, 4])
-def test_streaming_matches_batch_from_disk(image, tmp_path, jobs):
+def test_streaming_matches_batch_from_disk(image, tmp_path, monkeypatch,
+                                           jobs):
     """Persisted logs analyze identically through the mmap stream."""
-    for name, log in fixture_logs(image).items():
+    readers = []
+
+    def spy(source):
+        reader = open_log(source)
+        readers.append(type(reader))
+        return reader
+
+    monkeypatch.setattr(analyzer_module, "open_log", spy)
+    logs = fixture_logs(image)
+    for name, log in logs.items():
         path = tmp_path / f"{name}.teeperf"
         log.dump(str(path))
         analyzer = Analyzer(image)
         batch = analyze_batch(analyzer, SharedLog.load(str(path)))
         streamed = analyzer.analyze(str(path), jobs=jobs, chunk_size=2)
         assert_equivalent(batch, streamed)
+    assert readers == [LogStream] * len(logs)
 
 
 @st.composite
@@ -299,15 +311,15 @@ def test_logstream_header_and_iteration(image, tmp_path):
     )
     path = tmp_path / "v2.teeperf"
     log.dump(str(path))
-    with LogStream.open(str(path), chunk_size=1) as stream:
+    with LogStream.open(str(path)) as stream:
         assert stream.version == VERSION_2
         assert stream.capacity == 4096
         assert stream.profiler_addr == log.profiler_addr
         assert stream.multithread
         assert len(stream) == 2
-        chunks = list(stream.chunks())
+        chunks = list(stream.iter_column_chunks(1))
         assert [len(c) for c in chunks] == [1, 1]
-        assert list(stream) == list(log)
+        assert list(stream) == read_entries(log)
 
 
 def test_logstream_rejects_garbage(tmp_path):
@@ -322,7 +334,7 @@ def test_logstream_rejects_garbage(tmp_path):
 def test_columnarlog_rejects_garbage(tmp_path):
     """A rev 1.2 header over a garbage payload is rejected, and the
     rejected file's mapping is closed (no ResourceWarning)."""
-    from repro.core.columnar import ColumnarLog, encode_log
+    from repro.core.columnar import encode_log
     from repro.core.errors import LogFormatError
     from repro.core.log import HEADER_SIZE
 
@@ -330,7 +342,7 @@ def test_columnarlog_rejects_garbage(tmp_path):
     path = tmp_path / "junk.teeperf"
     path.write_bytes(header + b"not a columnar payload, not even close" * 4)
     with pytest.raises(LogFormatError):
-        ColumnarLog.open(str(path))
+        open_log(str(path))
 
 
 def test_logstream_short_file_clips_entries(image, tmp_path):
@@ -349,24 +361,6 @@ def test_logstream_short_file_clips_entries(image, tmp_path):
     with LogStream.open(str(path)) as stream:
         assert len(stream) == 1
         assert [e.counter for e in stream] == [0]
-
-
-def test_sharedlog_iter_chunks_matches_iter(image):
-    log = make_log(
-        image,
-        [
-            (KIND_CALL, "main", 0, 1),
-            (KIND_CALL, "work", 5, 1),
-            (KIND_RET, "work", 8, 1),
-            (KIND_RET, "main", 20, 1),
-            (KIND_CALL, "leaf", 25, 2),
-        ],
-    )
-    flattened = [e for chunk in log.iter_chunks(2) for e in chunk]
-    assert flattened == list(log)
-    assert [len(c) for c in log.iter_chunks(2)] == [2, 2, 1]
-    with pytest.raises(ValueError):
-        list(log.iter_chunks(0))
 
 
 # ----------------------------------------------------------------------

@@ -17,14 +17,21 @@ from repro.core.stats import PipelineStats
 from repro.symbols import CachedResolver
 
 
+def read_entries(log):
+    """`log`'s entries decoded one at a time by :meth:`SharedLog.entry`
+    (``struct``), independently of the column decoder every reader
+    iterates through — the reference that decoder is checked against."""
+    return [log.entry(i) for i in range(len(log))]
+
+
 def analyze_batch(analyzer, log):
-    """Analyse `log` (anything iterable as :class:`LogEntry` objects
-    with the log header accessors, e.g. a :class:`SharedLog`) with
-    `analyzer`'s image, tick length and cache size."""
+    """Analyse `log` (a :class:`SharedLog`, read through
+    :func:`read_entries`) with `analyzer`'s image, tick length and
+    cache size."""
     stats = PipelineStats(jobs=1, engine="python", chunks_processed=1)
     per_thread = {}
     lo = hi = None
-    for entry in log:
+    for entry in read_entries(log):
         stats.entries_ingested += 1
         per_thread.setdefault(entry.tid, []).append(entry)
         lo = entry.counter if lo is None else min(lo, entry.counter)
