@@ -6,8 +6,10 @@ keep the overhead of writing to the log to a minimum."
 
 Two halves:
 
-* the original pytest ablation (real threads hammering one SharedLog —
-  nothing lost, nothing written twice, per-thread order survives);
+* the original pytest ablation (real threads hammering one SharedLog,
+  each through its own ``ThreadLogWriter`` in blocks of one — one
+  fetch-and-add per event; nothing lost, nothing written twice,
+  per-thread order survives);
 * a standalone before/after wrapper (``python
   benchmarks/bench_log_throughput.py [--quick]``) over the suite's
   ``record_write``, ``record_zero_copy``, ``codec_ratio`` and
@@ -35,7 +37,7 @@ if __name__ == "__main__":  # allow running without PYTHONPATH=src
         sys.path.insert(0, str(_src))
 
 from repro.api import SharedLog
-from repro.core import KIND_CALL
+from repro.core import KIND_CALL, ThreadLogWriter
 from repro.bench.ports import derived_views
 from repro.bench.runner import run_selected
 from repro.bench.workloads.record_path import (
@@ -106,18 +108,18 @@ def main(argv=None):
 
 
 # ======================================================================
-# Pytest half: Ablation E, unchanged — real threads, one shared log.
+# Pytest half: Ablation E — real threads, one shared log, one writer
+# per thread committing blocks of one (one fetch-and-add per event).
 
 
 def hammer(n_threads):
     log = SharedLog.create(n_threads * EVENTS_PER_THREAD)
-    errors = []
 
     def writer(tid):
-        append = log.append
-        for i in range(EVENTS_PER_THREAD):
-            if not append(KIND_CALL, i, 0x400000 + i, tid):
-                errors.append(tid)
+        with ThreadLogWriter(log, 1) as thread_writer:
+            append = thread_writer.append
+            for i in range(EVENTS_PER_THREAD):
+                append(KIND_CALL, i, 0x400000 + i, tid)
 
     threads = [
         threading.Thread(target=writer, args=(tid,))
@@ -130,7 +132,7 @@ def hammer(n_threads):
     for t in threads:
         t.join()
     elapsed = time.perf_counter() - start
-    return log, errors, elapsed
+    return log, elapsed
 
 
 def test_lock_free_appends(emit, benchmark):
@@ -139,8 +141,8 @@ def test_lock_free_appends(emit, benchmark):
     def collect():
         rows = []
         for n in (1, 2, 4, 8):
-            log, errors, elapsed = hammer(n)
-            rows.append((n, log, errors, elapsed))
+            log, elapsed = hammer(n)
+            rows.append((n, log, elapsed))
         return rows
 
     rows = benchmark.pedantic(collect, rounds=1, iterations=1)
@@ -148,13 +150,13 @@ def test_lock_free_appends(emit, benchmark):
         "Ablation E — concurrent appends into one shared log (live mode)",
         ["threads", "events", "dropped", "events/s"],
     )
-    for n, log, errors, elapsed in rows:
+    for n, log, elapsed in rows:
         total = n * EVENTS_PER_THREAD
-        table.add_row(n, total, len(errors), f"{total / elapsed:,.0f}")
+        table.add_row(n, total, log.dropped, f"{total / elapsed:,.0f}")
     emit("ablation_log_throughput.txt", table.render())
 
-    for n, log, errors, elapsed in rows:
-        assert not errors  # capacity was sized exactly: nothing dropped
+    for n, log, elapsed in rows:
+        assert log.dropped == 0  # capacity was sized exactly
         assert len(log) == n * EVENTS_PER_THREAD
         # Per-thread order survives interleaving: counters ascend.
         last = {}

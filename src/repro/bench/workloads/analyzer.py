@@ -9,7 +9,7 @@ log while the suite harness runs a smaller one per repetition.
 import time
 
 from repro.api import Analyzer, SharedLog
-from repro.core import KIND_CALL, KIND_RET, LogStream
+from repro.core import KIND_CALL, KIND_RET, LogStream, ThreadLogWriter
 from repro.symbols import BinaryImage
 
 from repro.bench.timing import best_of
@@ -49,21 +49,22 @@ def build_log(image, threads=THREADS, frames_per_thread=FRAMES_PER_THREAD):
         threads * frames_per_thread * 2,
         profiler_addr=image.profiler_addr,
     )
-    append = log.append
-    for tid in range(threads):
-        counter = tid  # desynchronise threads a little
-        stack = []
-        opened = 0
-        while opened < frames_per_thread or stack:
-            counter += 3
-            # Deterministic open/close pattern: grow to depth 6, drain.
-            if opened < frames_per_thread and len(stack) < 6:
-                addr = addrs[(opened * 7 + tid) % functions]
-                stack.append(addr)
-                append(KIND_CALL, counter, addr, tid)
-                opened += 1
-            else:
-                append(KIND_RET, counter, stack.pop(), tid)
+    with ThreadLogWriter(log) as writer:
+        append = writer.append
+        for tid in range(threads):
+            counter = tid  # desynchronise threads a little
+            stack = []
+            opened = 0
+            while opened < frames_per_thread or stack:
+                counter += 3
+                # Deterministic open/close pattern: grow to depth 6, drain.
+                if opened < frames_per_thread and len(stack) < 6:
+                    addr = addrs[(opened * 7 + tid) % functions]
+                    stack.append(addr)
+                    append(KIND_CALL, counter, addr, tid)
+                    opened += 1
+                else:
+                    append(KIND_RET, counter, stack.pop(), tid)
     return log
 
 

@@ -18,7 +18,7 @@ import time
 import numpy as _np
 
 from repro.api import SharedLog
-from repro.core import KIND_CALL, KIND_RET, ThreadLogWriter
+from repro.core import KIND_CALL, ThreadLogWriter
 from repro.core.log import (
     COUNTER_MASK,
     ENTRY_SIZE_V2,
@@ -205,11 +205,9 @@ def codec_sizes(log):
 
 def build_filled_log(n_entries):
     """A full in-memory log with the decode benchmark's entry mix."""
+    i = _np.arange(n_entries, dtype=_np.uint64)
     log = SharedLog.create(n_entries)
-    append = log.append
-    for i in range(n_entries):
-        kind = KIND_RET if i & 1 else KIND_CALL
-        append(kind, i * 3, 0x400000 + i, 1 + i % 4)
+    log.append_columns(i & 1, i * 3, 0x400000 + i, 1 + i % 4)  # odd: RET
     log._store_tail()
     return log
 

@@ -9,9 +9,12 @@ stage at all.
 
 :class:`AutoTracer` lays every traced code object out in a simulated
 binary image on first sight (so the log still carries *addresses* and
-the analyzer stays unchanged) and appends Figure-2 entries to the
-shared log.  A *scope* predicate restricts tracing to the application's
-own modules — the same role selective profiling plays in stage 1.
+the analyzer stays unchanged) and stages Figure-2 entries through each
+thread's :class:`~repro.core.log.ThreadLogWriter`, after the same
+ACTIVE-and-mask test on the log's flags byte that the compiled hooks
+make — so ``pause()`` and the event mask hold here too.  A *scope*
+predicate restricts tracing to the application's own modules — the
+same role selective profiling plays in stage 1.
 
 Used through the facade::
 
@@ -24,7 +27,7 @@ import sys
 import threading
 
 from repro.core.instrument import InstrumentedProgram
-from repro.core.log import KIND_CALL, KIND_RET
+from repro.core.log import _FLAGS_BYTE, _NEED_FLAGS, KIND_CALL, KIND_RET
 from repro.core.recorder import DEFAULT_CAPACITY, LiveRecorder
 from repro.symbols import mangle
 from repro.symbols.mangle import MangleError
@@ -38,6 +41,18 @@ def _sanitise(name):
         out.append(ch if (ch.isalnum() or ch == "_") else "_")
     text = "".join(out).strip("_") or "anonymous"
     return text if not text[0].isdigit() else "_" + text
+
+
+class _ThreadWriter(threading.local):
+    """The calling thread's OS thread id and its writer's ``append``.
+
+    Python re-runs ``__init__`` in every thread that first touches the
+    object, so each thread looks its writer up once.
+    """
+
+    def __init__(self, pool):
+        self.tid = threading.get_native_id()
+        self.append = pool.writer_for(self.tid).append
 
 
 class AutoTracer:
@@ -54,10 +69,20 @@ class AutoTracer:
         self.log = None
         self.counter = None
         self.offset = 0  # relocation offset of the loaded image
+        self.pool = None
+        self._thread = None
+
+    def bind(self, log, counter, offset, pool):
+        """Record into `log` through `pool`'s per-thread writers."""
+        self.log = log
+        self.counter = counter
+        self.offset = offset
+        self.pool = pool
+        self._thread = _ThreadWriter(pool)
 
     def flush(self):
-        """Hooks-interface parity: the tracer appends per event and
-        stages nothing, so there is never anything to commit."""
+        """Commit every thread's staged block."""
+        self.pool.flush()
 
     @staticmethod
     def _normalise_scope(scope):
@@ -124,29 +149,33 @@ class AutoTracer:
 
     def hook(self, frame, event, arg):
         if event == "call":
-            addr = self._traced_addr(frame)
-            if addr is not None:
-                call_site = 0
-                if self.log.entry_size > 24 and frame.f_back is not None:
-                    parent = self._decision_by_code.get(frame.f_back.f_code)
-                    if parent:
-                        call_site = parent + self.offset
-                self.log.append(
-                    KIND_CALL,
-                    self.counter.read(),
-                    addr + self.offset,
-                    threading.get_native_id(),
-                    call_site,
-                )
+            kind = KIND_CALL
         elif event == "return":
+            kind = KIND_RET
+        else:
+            return None
+        log = self.log
+        need = _NEED_FLAGS[kind]
+        if log._buf[_FLAGS_BYTE] & need != need:
+            return None  # inactive or masked: no layout, no tick
+        call_site = 0
+        if kind == KIND_CALL:
+            addr = self._traced_addr(frame)
+            if addr is None:
+                return None
+            if log.entry_size > 24 and frame.f_back is not None:
+                parent = self._decision_by_code.get(frame.f_back.f_code)
+                if parent:
+                    call_site = parent + self.offset
+        else:
             addr = self._decision_by_code.get(frame.f_code)
-            if addr:
-                self.log.append(
-                    KIND_RET,
-                    self.counter.read(),
-                    addr + self.offset,
-                    threading.get_native_id(),
-                )
+            if not addr:
+                return None
+        thread = self._thread
+        thread.append(
+            kind, self.counter.read(), addr + self.offset, thread.tid,
+            call_site,
+        )
         return None
 
 
@@ -167,9 +196,9 @@ class AutoRecorder(LiveRecorder):
 
     def start(self):
         super().start()
-        self.tracer.log = self.log
-        self.tracer.counter = self.counter
-        self.tracer.offset = self.loaded.offset
+        self.tracer.bind(
+            self.log, self.counter, self.loaded.offset, self._writer_pool()
+        )
         self.hooks = self.tracer  # stop() and persist() flush through it
         threading.setprofile(self.tracer.hook)
         sys.setprofile(self.tracer.hook)

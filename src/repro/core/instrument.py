@@ -306,33 +306,26 @@ class Instrumenter:
 
 class WriterPool:
     """Per-thread :class:`~repro.core.log.ThreadLogWriter` bookkeeping
-    shared by both hook implementations.
+    shared by every hook implementation.
 
-    A hooks object is shared by every thread, so writers are keyed by
-    thread id; the last ``(tid, writer)`` pair is cached because the
-    overwhelmingly common case is a run of events from one thread.
+    A pool is shared by every thread, so writers are keyed by thread
+    id; each hook looks its writer up once, when its thread first
+    records.
     """
 
-    __slots__ = ("log", "writer_block", "_writers", "_last")
+    __slots__ = ("log", "writer_block", "_writers")
 
     def __init__(self, log, writer_block):
         self.log = log
         self.writer_block = writer_block
         self._writers = {}
-        # (tid, writer) published as one tuple: concurrent threads can
-        # race on the cache but never observe a torn pair.
-        self._last = (None, None)
 
     def writer_for(self, tid):
-        last_tid, last_writer = self._last
-        if tid == last_tid:
-            return last_writer
         writer = self._writers.get(tid)
         if writer is None:
             writer = self._writers.setdefault(
                 tid, ThreadLogWriter(self.log, self.writer_block)
             )
-        self._last = (tid, writer)
         return writer
 
     def flush(self):
@@ -347,45 +340,46 @@ class WriterPool:
 class SimHooks:
     """Injected-code implementation for simulation mode.
 
-    Every event charges the platform's per-event instrumentation cost
-    to the running simulated thread, reads the virtual software
-    counter, and appends to the shared log with the *relaxed*
-    reservation (per-thread ordering is all the analyzer needs).  With
-    ``writer_block > 0`` events go through per-thread
-    :class:`~repro.core.log.ThreadLogWriter` staging instead of
-    per-event appends — same per-thread bytes, amortised reservation.
+    Every event while ACTIVE charges the platform's per-event
+    instrumentation cost to the running simulated thread; the
+    thread's own hook
+    (:attr:`~repro.core.log.ThreadLogWriter.make_hook`, built once per
+    simulated thread over its writer in `pool`) then decides, from
+    the log's flags byte, whether the event is recorded, reads the
+    virtual software counter and stages the entry.  Reservation is the
+    *relaxed* one: per-thread ordering is all the analyzer needs.  A
+    pool with ``writer_block=1`` commits every event as its own block,
+    the per-event case, which keeps simulated runs byte-deterministic.
     """
 
-    __slots__ = ("log", "counter", "machine", "event_cycles", "pool",
-                 "_read", "_current")
+    __slots__ = ("log", "counter", "event_cycles", "pool", "_hooks",
+                 "_current")
 
-    def __init__(self, log, counter, machine, event_cycles,
-                 writer_block=0):
-        self.log = log
+    def __init__(self, pool, counter, machine, event_cycles):
+        self.log = pool.log
         self.counter = counter
-        self.machine = machine
         self.event_cycles = event_cycles
-        self.pool = (
-            WriterPool(log, writer_block) if writer_block else None
-        )
-        self._read = counter.read
+        self.pool = pool
+        self._hooks = {}  # simulated tid -> that thread's hook
         self._current = machine.current
 
     def on_event(self, kind, addr):
+        # ACTIVE decides only whether the event is charged: the hook
+        # below tests it again, with the event mask, on the flags byte.
         if not self.log.active:
             return
         thread = self._current()
         thread.advance(self.event_cycles)
-        if self.pool is not None:
-            self.pool.writer_for(thread.tid).append(
-                kind, self._read(), addr, thread.tid
+        tid = thread.tid
+        hook = self._hooks.get(tid)
+        if hook is None:
+            hook = self._hooks[tid] = self.pool.writer_for(tid).make_hook(
+                tid, self.counter
             )
-        else:
-            self.log.append(kind, self._read(), addr, thread.tid)
+        hook(kind, addr)
 
     def flush(self):
-        if self.pool is not None:
-            self.pool.flush()
+        self.pool.flush()
 
 
 class LiveHooks(threading.local):

@@ -21,23 +21,25 @@ counted, and the analyzer independently dismisses anything past the
 maximum — the paper's rule for records "which might be wrong at the end
 of the log".  The real injected code issues one ``lock xadd``; this
 reproduction models that atomic with a tail integer whose update is a
-two-bytecode critical section, shared by the per-event path
-(:meth:`SharedLog.try_reserve`) and the batched path
-(:meth:`SharedLog.reserve_block`, which amortises the one atomic over a
-whole block of entries — the relaxed reservation of §II-C).
+two-bytecode critical section (:meth:`SharedLog.reserve_block`, which
+amortises the one atomic over a whole block of entries — the relaxed
+reservation of §II-C; a block of one is the per-event case).
 
-:class:`ThreadLogWriter` is the batched writer built on block
-reservation: one per thread, it stages each entry as its packed bytes
-and commits each block with a single blit.  Only per-thread ordering
-survives — exactly the contract the analyzer needs.  It also builds
-the live recorder's per-thread event hook
-(:attr:`ThreadLogWriter.make_hook`), so the entry layout is packed in
-this module alone.
+:class:`ThreadLogWriter` is the one writer of recorded events: one per
+thread, it stages each entry as its packed bytes and commits each
+block with a single blit.  Only per-thread ordering survives — exactly
+the contract the analyzer needs.  It also builds the recorders'
+per-thread event hook (:attr:`ThreadLogWriter.make_hook`), so the
+entry layout is packed in this module alone.
+:meth:`SharedLog.append_columns` is the bulk counterpart for producers
+that already hold columns (salvage, conversion).
 
 The flags word is the only mutable control surface: bit 0 (ACTIVE)
 gates recording and may be flipped while the application runs, which is
 how dynamic de-/activation and selective phases work without adding a
-critical section to the hot path.
+critical section to the hot path.  ACTIVE and the event mask are
+decided in one place, the hook, from the flags byte (header byte 8,
+:data:`_NEED_FLAGS`); the writers below it write what they are given.
 
 Crash consistency — *sealed segments* (opt-in via
 ``SharedLog.create(sealed=True)``, flag bit 4): every committed block
@@ -114,6 +116,13 @@ _VERSION_SHIFT = 16
 # and the event mask among them — on every host: the log is
 # little-endian.
 _FLAGS_BYTE = 8
+# The flag bits an event needs set to be recorded, indexed by kind
+# (KIND_CALL is 0, KIND_RET is 1): ACTIVE and the kind's mask bit.
+# Every hook tests ``flags_byte & need == need`` with this pair.
+_NEED_FLAGS = (
+    FLAG_ACTIVE | FLAG_MASK_CALLS,
+    FLAG_ACTIVE | FLAG_MASK_RETS,
+)
 
 # Entry word 0: bit 63 is the kind, the low 63 bits the counter value.
 KIND_CALL = 0
@@ -461,19 +470,9 @@ class SharedLog(_LogReader):
             if _NATIVE_WORDS
             else None
         )
-        # The event mask as the writers poll it per staged event: a
-        # plain list index is measurably cheaper than a memoryview
-        # index (or any bit arithmetic) on that path.  ``mirror[kind]``
-        # is truthy iff the mask admits that kind; _set_word keeps it
-        # in sync.
-        self._measures_mirror = [
-            header[1] & FLAG_MASK_CALLS,
-            header[1] & FLAG_MASK_RETS,
-        ]
         # The tail: the paper's single atomic fetch-and-add, modelled
-        # by an integer bumped inside a two-bytecode critical section
-        # (shared by per-event and block reservation, so blocks stay
-        # contiguous under concurrency).
+        # by an integer bumped inside a two-bytecode critical section,
+        # so blocks stay contiguous under concurrency.
         self._tail_lock = threading.Lock()
         self._next_free = self.tail
         self.dropped = 0
@@ -662,10 +661,6 @@ class SharedLog(_LogReader):
             self._words[index] = value
         else:
             struct.pack_into("<Q", self._buf, index * 8, value)
-        if index == 1:
-            mirror = self._measures_mirror
-            mirror[0] = value & FLAG_MASK_CALLS
-            mirror[1] = value & FLAG_MASK_RETS
 
     def set_profiler_addr(self, addr):
         """The recorder stores the well-known function address here."""
@@ -737,11 +732,13 @@ class SharedLog(_LogReader):
     def seal_remainder(self):
         """Seal every committed-but-unsealed gap in ``[0, entries)``.
 
-        The recorder's stop/pause hook: per-event appends never seal
-        on the hot path, so one call here leaves a cleanly finished
-        log fully sealed — and a crashed run, which never gets here,
-        leaves its in-flight regions unsealed for recovery to
-        quarantine.  Returns the number of new seal records.
+        The recorder's stop/pause hook.  The writers seal each block
+        they commit, so this seals only what was written without one
+        (:meth:`write_block` on its own); one call here leaves a
+        cleanly finished log fully sealed — and a crashed run, which
+        never gets here, leaves its in-flight regions unsealed for
+        recovery to quarantine.  Returns the number of new seal
+        records.
         """
         end = len(self)
         gaps = []
@@ -757,17 +754,7 @@ class SharedLog(_LogReader):
         return len(gaps)
 
     # ------------------------------------------------------------------
-    # Appending (the injected code's hot path)
-
-    def try_reserve(self):
-        """Fetch-and-add on the tail; ``None`` once the log is full."""
-        with self._tail_lock:
-            index = self._next_free
-            self._next_free = index + 1
-        if index >= self._capacity:
-            self.dropped += 1
-            return None
-        return index
+    # Appending (below the hook: write what is given)
 
     def reserve_block(self, n):
         """One fetch-and-add reserves `n` consecutive slots.
@@ -781,10 +768,9 @@ class SharedLog(_LogReader):
         (:class:`ThreadLogWriter` does exactly that at flush).  A block
         reserved entirely past capacity returns ``granted == 0``.
 
-        Unlike :meth:`try_reserve`, this method does not touch
-        :attr:`dropped` itself: a block is reserved *per flush*, not
-        per event, so only the caller knows how many events the
-        surrendered slots represent.
+        This method does not touch :attr:`dropped` itself: a block is
+        reserved *per flush*, not per event, so only the caller knows
+        how many events the surrendered slots represent.
         """
         if n < 1:
             raise ValueError(f"block size must be positive: {n}")
@@ -807,42 +793,20 @@ class SharedLog(_LogReader):
         span = granted * entry_size
         self._buf[offset : offset + span] = raw[:span]
 
-    def write_entry(self, index, kind, counter, addr, tid, call_site=0):
-        """Fill a previously reserved slot."""
-        word0 = (counter & COUNTER_MASK) | (_KIND_BIT if kind else 0)
-        offset = HEADER_SIZE + index * self._entry_size
-        if self._entry_size == ENTRY_SIZE_V2:
-            _ENTRY_V2.pack_into(
-                self._buf, offset, word0, addr, tid, call_site
-            )
-        else:
-            _ENTRY.pack_into(self._buf, offset, word0, addr, tid)
-
-    def append(self, kind, counter, addr, tid, call_site=0):
-        """Reserve and write in one step; False when the log was full
-        or the event mask filters this kind out."""
-        if not self.measures(kind):
-            return False
-        index = self.try_reserve()
-        if index is None:
-            return False
-        self.write_entry(index, kind, counter, addr, tid, call_site)
-        return True
-
     def append_columns(self, kind, counter, addr, tid, call_site=None):
         """Bulk vectorised append: one reserved block for the whole
         batch, packed straight into the log buffer.
 
-        The zero-copy counterpart of :meth:`append` for producers that
-        already hold their events as columns (arrays or lists of
-        kind/counter/addr/tid, plus ``call_site`` for v2 logs): the
-        event mask filters rows first, one
-        :meth:`reserve_block` fetch-and-add covers the batch, and the
-        columns are written through a writable ``numpy`` view of the
-        reserved slots — no per-event Python work, no intermediate
-        packed ``bytes``.  Rows lost past the capacity boundary are
-        counted on :attr:`dropped`.  Returns the number of entries
-        committed.
+        The column counterpart of :class:`ThreadLogWriter` for
+        producers that already hold their events as columns (arrays or
+        lists of kind/counter/addr/tid, plus ``call_site`` for v2
+        logs): one :meth:`reserve_block` fetch-and-add covers the
+        batch, and the columns are written through a writable
+        ``numpy`` view of the reserved slots — no per-event Python
+        work, no intermediate packed ``bytes``.  Every row is written:
+        admission (ACTIVE, the event mask) is the hooks' decision.
+        Rows lost past the capacity boundary are counted on
+        :attr:`dropped`.  Returns the number of entries committed.
         """
         u64 = _np.uint64
         kind = _np.ascontiguousarray(kind, dtype=u64)
@@ -851,17 +815,6 @@ class SharedLog(_LogReader):
         tid = _np.ascontiguousarray(tid, dtype=u64)
         if call_site is not None:
             call_site = _np.ascontiguousarray(call_site, dtype=u64)
-        flags = self._word(1)
-        if not (flags & FLAG_MASK_CALLS) or not (flags & FLAG_MASK_RETS):
-            keep = _np.zeros(len(kind), dtype=bool)
-            if flags & FLAG_MASK_CALLS:
-                keep |= kind == KIND_CALL
-            if flags & FLAG_MASK_RETS:
-                keep |= kind == KIND_RET
-            kind, counter = kind[keep], counter[keep]
-            addr, tid = addr[keep], tid[keep]
-            if call_site is not None:
-                call_site = call_site[keep]
         n = len(kind)
         if not n:
             return 0
@@ -969,7 +922,8 @@ class SharedLog(_LogReader):
 
 
 class ThreadLogWriter:
-    """A per-thread batched writer over one :class:`SharedLog`.
+    """A thread's writer over one :class:`SharedLog` — the one path
+    every recorded event takes into the log.
 
     The injected code's amortised hot path: :attr:`append` — a closure
     specialised at construction so every per-event load is a cell
@@ -980,15 +934,15 @@ class ThreadLogWriter:
     commits with one :meth:`SharedLog.reserve_block` fetch-and-add
     plus a single slice copy of the staging buffer into the shared
     buffer — no per-event ``bytes`` objects, no ``b"".join`` at
-    commit.  :meth:`extend` is the bulk sibling: a whole column batch
-    flushes the stage and lands through
-    :meth:`SharedLog.append_columns` as one vectorised block.
+    commit.  A `block` of one commits every event as it is staged:
+    the per-event case.
 
-    :attr:`make_hook` ``(tid, counter)`` builds the live recorder's
+    :attr:`make_hook` ``(tid, counter)`` builds the recorders'
     per-thread hook ``on_event(kind, addr)`` over the same staging
     buffer: one frame per event checks ACTIVE and the event mask, reads
     the tick, packs the entry and commits a full block (see
-    :class:`repro.core.instrument.LiveHooks`).
+    :class:`repro.core.instrument.LiveHooks` and
+    :class:`~repro.core.instrument.SimHooks`).
 
     The contract, matching ``docs/log-format.md``:
 
@@ -996,9 +950,10 @@ class ThreadLogWriter:
       per-thread event order is preserved exactly; global interleaving
       becomes per-block, which is within the format's "only per-thread
       order is meaningful" rule;
-    * ``ACTIVE`` and the event mask are honoured *at staging time*
-      (the hooks check ACTIVE; :attr:`append` and the live hook check
-      the mask): a flag flipped between a block's staging and its
+    * ``ACTIVE`` and the event mask are decided *at staging time*, by
+      the hook (:attr:`make_hook`, or a caller testing
+      :data:`_NEED_FLAGS` before :attr:`append`, which writes what it
+      is given): a flag flipped between a block's staging and its
       flush affects later events only, and already-staged events are
       always committed;
     * drop accounting is exact but deferred: events staged into a
@@ -1067,17 +1022,13 @@ class ThreadLogWriter:
             return granted
 
         # The staging closure.  Every name it touches per event is a
-        # cell variable or a default-arg constant; the mask check is a
-        # single index into the log's *measures mirror* (a two-slot
-        # list of pre-shifted mask bits, kept current by _set_word) —
-        # KIND_CALL is 0, KIND_RET is 1.  `pos` doubles as the
-        # block-full test: it hits `_cap` exactly when `block` events
-        # have been staged since the last flush (an external flush only
-        # makes the next block smaller, which the format permits —
-        # block boundaries carry no meaning).  The block-full commit
-        # goes through the *bound* flush so subclasses that override
-        # it (fault injection) stay in the loop.
-        meas = log._measures_mirror
+        # cell variable or a default-arg constant.  `pos` doubles as
+        # the block-full test: it hits `_cap` exactly when `block`
+        # events have been staged since the last flush (an external
+        # flush only makes the next block smaller, which the format
+        # permits — block boundaries carry no meaning).  The block-full
+        # commit goes through the *bound* flush so subclasses that
+        # override it (fault injection) stay in the loop.
         flush = self.flush
         if entry_size == ENTRY_SIZE_V2:
 
@@ -1085,18 +1036,14 @@ class ThreadLogWriter:
                        _mask=COUNTER_MASK, _kbit=_KIND_BIT,
                        _stage=stage, _pack=_ENTRY_V2.pack_into,
                        _es=entry_size, _cap=block * entry_size):
-                """Stage one event in place; False when the mask
-                filters it out.  True means *accepted* — commitment
-                (or a capacity drop) happens at flush."""
+                """Stage one event in place; it commits (or is counted
+                as a capacity drop) at flush."""
                 nonlocal pos
-                if not meas[kind]:
-                    return False
                 _pack(_stage, pos, counter & _mask | (kind and _kbit),
                       addr, tid, call_site)
                 pos += _es
                 if pos == _cap:
                     flush()
-                return True
 
         else:
 
@@ -1104,21 +1051,17 @@ class ThreadLogWriter:
                        _mask=COUNTER_MASK, _kbit=_KIND_BIT,
                        _stage=stage, _pack=_ENTRY.pack_into,
                        _es=entry_size, _cap=block * entry_size):
-                """Stage one event in place; False when the mask
-                filters it out.  True means *accepted* — commitment
-                (or a capacity drop) happens at flush."""
+                """Stage one event in place; it commits (or is counted
+                as a capacity drop) at flush."""
                 nonlocal pos
-                if not meas[kind]:
-                    return False
                 _pack(_stage, pos, counter & _mask | (kind and _kbit),
                       addr, tid)
                 pos += _es
                 if pos == _cap:
                     flush()
-                return True
 
         def make_hook(tid, counter):
-            """The live hook ``on_event(kind, addr)`` of thread `tid`.
+            """The hook ``on_event(kind, addr)`` of thread `tid`.
 
             It stages into this writer's buffer, so it and
             :attr:`append` may be mixed.  ACTIVE and the event mask
@@ -1133,12 +1076,6 @@ class ThreadLogWriter:
             counter.  A v2 entry is packed with call site 0.
             """
             header = log._buf
-            # The flag bits an event needs set, per kind (KIND_CALL is
-            # 0, KIND_RET is 1): ACTIVE and the kind's mask bit.
-            need_flags = (
-                FLAG_ACTIVE | FLAG_MASK_CALLS,
-                FLAG_ACTIVE | FLAG_MASK_RETS,
-            )
             pack = (
                 _ENTRY_V2_NO_SITE if entry_size == ENTRY_SIZE_V2 else _ENTRY
             ).pack_into
@@ -1146,7 +1083,7 @@ class ThreadLogWriter:
             if ticks is not None:
 
                 def on_event(kind, addr, _hdr=header, _at=_FLAGS_BYTE,
-                             _need=need_flags, _ticks=ticks, _tid=tid,
+                             _need=_NEED_FLAGS, _ticks=ticks, _tid=tid,
                              _mask=COUNTER_MASK, _kbit=_KIND_BIT,
                              _stage=stage, _pack=pack,
                              _es=entry_size, _cap=block * entry_size):
@@ -1163,7 +1100,7 @@ class ThreadLogWriter:
             else:
 
                 def on_event(kind, addr, _hdr=header, _at=_FLAGS_BYTE,
-                             _need=need_flags, _read=counter.read,
+                             _need=_NEED_FLAGS, _read=counter.read,
                              _tid=tid, _mask=COUNTER_MASK, _kbit=_KIND_BIT,
                              _stage=stage, _pack=pack,
                              _es=entry_size, _cap=block * entry_size):
@@ -1209,25 +1146,6 @@ class ThreadLogWriter:
         their slots were surrendered past the capacity boundary.
         """
         return self._flush_impl()
-
-    def extend(self, kind, counter, addr, tid, call_site=None):
-        """Bulk append a column batch through this writer.
-
-        Staged per-event entries flush first (preserving per-thread
-        order), then the whole batch lands through
-        :meth:`SharedLog.append_columns` as one vectorised block.
-        Returns the number of entries committed; mask-filtered rows
-        are skipped and capacity-surrendered rows counted on
-        :attr:`dropped`, exactly like the per-event path.
-        """
-        self._flush_impl()
-        log = self.log
-        before = log.dropped
-        committed = log.append_columns(kind, counter, addr, tid, call_site)
-        self.flushed += committed
-        self.dropped += log.dropped - before
-        self.blocks_flushed += 1
-        return committed
 
     def close(self):
         self.flush()

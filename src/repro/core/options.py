@@ -37,11 +37,10 @@ class RecordOptions:
     capacity:
         Shared-log size in entries, fixed at creation (paper §II-B).
     writer_block:
-        Entries per batched per-thread staging block; 0 keeps the
-        per-event append path simulated and commits blocks of one
-        live.  ``None`` (the default) leaves it to the recorder: 256
-        entries live, 0 simulated (so simulated runs stay
-        byte-deterministic).
+        Entries per per-thread staging block; 0 commits blocks of
+        one, the per-event case.  ``None`` (the default) leaves it to
+        the recorder: 256 entries live, 0 simulated (so simulated runs
+        stay byte-deterministic).
     sealed:
         Crash-consistent sealed segments: committed blocks carry a
         CRC32 seal record and the header's watermark advances (see
@@ -141,7 +140,7 @@ def add_record_arguments(parser, defaults=RecordOptions()):
         "--writer-block",
         type=int,
         default=defaults.writer_block,
-        help="per-thread batched-writer block size (0 = per-event; "
+        help="per-thread writer block size (0 = blocks of one; "
         "default: the recorder's own, 256 live and 0 simulated)",
     )
     parser.add_argument(

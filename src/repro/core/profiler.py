@@ -76,10 +76,11 @@ class TEEPerf:
         the profiler itself stays platform-independent.  Passing a
         :class:`repro.monitor.Monitor` attaches live samplers for the
         recorder, counter, TEE cost model and (after ``analyze``) the
-        pipeline stats.  ``writer_block > 0`` routes events through
-        per-thread batched writers (default: per-event appends, which
-        keep simulated runs byte-deterministic); ``sealed=True``
-        records crash-consistent sealed segments.  A
+        pipeline stats.  Events go through per-thread writers;
+        ``writer_block > 1`` batches them (default: blocks of one, the
+        per-event case, which keeps simulated runs byte-deterministic
+        and seals every entry of a sealed log as it commits);
+        ``sealed=True`` records crash-consistent sealed segments.  A
         :class:`repro.core.options.RecordOptions` passed as `record`
         configures all of that in one object (and wins over the
         individual kwargs).
@@ -117,9 +118,9 @@ class TEEPerf:
 
         `writer_block` sizes the per-thread batched writers (default:
         :data:`repro.core.log.DEFAULT_WRITER_BLOCK`); ``0`` commits
-        blocks of one entry, byte-identical to per-event appends,
-        each counted in ``PipelineStats.blocks_flushed``.  `sealed`
-        and `record` mirror :meth:`simulated`.
+        blocks of one entry, the per-event case, each counted in
+        ``PipelineStats.blocks_flushed``.  `sealed` and `record`
+        mirror :meth:`simulated`.
         """
         kwargs = {}
         if writer_block is not None:

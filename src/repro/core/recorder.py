@@ -191,11 +191,14 @@ class _RecorderBase:
         analysis even starts (events dropped when the log's
         reservation counter overflowed, including staged events whose
         block straddled the capacity boundary at flush)."""
-        pool = getattr(self.hooks, "pool", None)
         return PipelineStats(
             entries_recorded=self.events_recorded(),
             entries_dropped=self.events_dropped(),
-            blocks_flushed=pool.blocks_flushed() if pool else 0,
+            blocks_flushed=(
+                self.hooks.pool.blocks_flushed()
+                if self.hooks is not None
+                else 0
+            ),
             writer_block=self.writer_block,
             bytes_written=(
                 self.events_recorded() * self.log.entry_size
@@ -220,6 +223,11 @@ class _RecorderBase:
 
     def _aslr_seed(self):
         return 1
+
+    def _writer_pool(self):
+        # writer_block=0 runs as blocks of one: each event commits on
+        # its own, the per-event case, and counts as one flushed block.
+        return WriterPool(self.log, self.writer_block or 1)
 
     def _make_hooks(self):
         raise NotImplementedError
@@ -252,9 +260,9 @@ class Recorder(_RecorderBase):
         sealed=False,
         options=None,
     ):
-        # Simulation defaults to the per-event path (writer_block=0):
-        # regenerated figures stay byte-deterministic regardless of
-        # batching.  Pass writer_block>0 to exercise the batched path.
+        # Simulation defaults to blocks of one (writer_block=0), the
+        # per-event case: regenerated figures stay byte-deterministic
+        # regardless of batching.  Pass writer_block>1 to batch.
         super().__init__(
             program, capacity, pid, version, monitor, writer_block,
             sealed, options,
@@ -275,11 +283,10 @@ class Recorder(_RecorderBase):
 
     def _make_hooks(self):
         return SimHooks(
-            self.log,
+            self._writer_pool(),
             self.counter,
             self.machine,
             self.env.costs.instrument_event_cycles,
-            writer_block=self.writer_block,
         )
 
 
@@ -312,9 +319,4 @@ class LiveRecorder(_RecorderBase):
         self.counter = counter or ProcessCounter()
 
     def _make_hooks(self):
-        # writer_block=0 runs as blocks of one: each event commits on
-        # its own, byte-identical to per-event appends, and counts as
-        # one flushed block.
-        return LiveHooks(
-            WriterPool(self.log, self.writer_block or 1), self.counter
-        )
+        return LiveHooks(self._writer_pool(), self.counter)

@@ -557,8 +557,9 @@ def repair_tails(log, report=None):
         multithread=log.multithread,
         version=log.version,
     )
-    for kind, counter, addr, tid, call_site in kept:
-        out.append(kind, counter, addr, tid, call_site)
+    if kept:
+        kind, counter, addr, tid, call_site = zip(*kept)
+        out.append_columns(kind, counter, addr, tid, call_site)
     out._store_tail()
     if report is not None:
         report.tails_repaired += added

@@ -39,9 +39,8 @@ class PipelineStats:
         Calls closed at the thread's last observed counter value
         because their return never made it into the log.
     blocks_flushed:
-        Batched-writer blocks committed to the log (0 when the
-        simulated recorder ran the per-event append path; a live
-        ``writer_block=0`` counts one block per entry).
+        Writer blocks committed to the log (``writer_block=0``, the
+        simulated default, counts one block per entry).
     chunks_processed:
         Fixed-size ingestion chunks decoded.
     shards_analyzed:
@@ -51,8 +50,8 @@ class PipelineStats:
     chunk_size:
         Entries per ingestion chunk (0 until an analysis ran).
     writer_block:
-        Entries per batched-writer staging block (0 = per-event
-        appends; see :class:`repro.core.log.ThreadLogWriter`).
+        Entries per writer staging block (0 = blocks of one, the
+        per-event case; see :class:`repro.core.log.ThreadLogWriter`).
     counter_span:
         Ticks between the smallest and largest counter value seen;
         the denominator of the ingest rate.

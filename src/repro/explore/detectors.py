@@ -13,10 +13,11 @@ Three families, all fed by one run of a workload under one schedule:
   whose candidate lockset drains to empty while written by more than
   one thread is reported exactly once.
 * **oracles** — after a clean run, the workload re-checks the
-  invariants the schedule was trying to break: per-thread
-  batched-vs-per-event byte identity, and recovery's exact
-  ``salvaged + quarantined == entries`` accounting (helpers below,
-  reused from :mod:`repro.core.recovery`).
+  invariants the schedule was trying to break: per-thread byte
+  identity of the batched writers against each thread's events packed
+  one by one, and recovery's exact ``salvaged + quarantined ==
+  entries`` accounting (helpers below, reused from
+  :mod:`repro.core.recovery`).
 
 A finding is data, not an exception: every one carries the trial,
 seed and policy that produced it so it can be replayed.
@@ -245,13 +246,17 @@ def check_per_thread_identity(log, events_by_tid, name="byte-identity"):
     """The batched-writer oracle, schedule-independent form.
 
     For every thread, the entries that thread committed into `log`
-    (in log order) must be *byte-identical* to replaying that
-    thread's event sequence through the per-event append path alone.
-    Block interleaving across threads is schedule-dependent; each
-    thread's own entry byte sequence is not — that is PR 3's
-    invariant, now enforced under every explored schedule.
+    (in log order) must be *byte-identical* to that thread's event
+    sequence packed one entry at a time with :mod:`struct` — word 0
+    the kind in bit 63 over the counter's low 63 bits, then the
+    address, the tid and (v2) the call site.  Block interleaving
+    across threads is schedule-dependent; each thread's own entry byte
+    sequence is not — that invariant is enforced under every explored
+    schedule.
     """
-    from repro.core.log import HEADER_SIZE, SharedLog
+    import struct
+
+    from repro.core.log import COUNTER_MASK, HEADER_SIZE
 
     size = log.entry_size
     buf = log._buf
@@ -261,21 +266,13 @@ def check_per_thread_identity(log, events_by_tid, name="byte-identity"):
         got.setdefault(entry.tid, []).append(
             bytes(buf[offset : offset + size])
         )
+    layout = f"<{size // 8}Q"
     for tid, events in events_by_tid.items():
-        baseline = SharedLog.create(
-            max(len(events), 1), version=log.version
-        )
-        for event in events:
-            baseline.append(*event)
-        baseline._store_tail()
-        expected = [
-            bytes(
-                baseline._buf[
-                    HEADER_SIZE + i * size : HEADER_SIZE + (i + 1) * size
-                ]
-            )
-            for i in range(len(baseline))
-        ]
+        expected = []
+        for kind, counter, addr, event_tid, *call_site in events:
+            fields = [counter & COUNTER_MASK | kind << 63, addr, event_tid]
+            fields += call_site or [0]
+            expected.append(struct.pack(layout, *fields[: size // 8]))
         if got.get(tid, []) != expected:
             raise OracleViolation(
                 f"{name}: thread {tid} committed "

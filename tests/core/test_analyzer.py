@@ -8,6 +8,7 @@ from repro.api import Analyzer, SharedLog
 from repro.core import KIND_CALL, KIND_RET
 from repro.core.errors import AnalyzerError
 from repro.symbols import BinaryImage, mangle
+from tests.oracles.per_event import append
 
 
 @pytest.fixture
@@ -25,7 +26,7 @@ def addr(image, name):
 def make_log(image, events, capacity=256):
     log = SharedLog.create(capacity, profiler_addr=image.profiler_addr)
     for kind, name, counter, tid in events:
-        log.append(kind, counter, addr(image, name), tid)
+        append(log, kind, counter, addr(image, name), tid)
     return log
 
 
@@ -154,16 +155,16 @@ def test_return_matching_deeper_frame_closes_intermediates(image):
 def test_relocated_log_resolves_via_profiler_addr(image):
     loaded = image.load(aslr_seed=99)
     log = SharedLog.create(16, profiler_addr=loaded.profiler_addr)
-    log.append(KIND_CALL, 0, loaded.runtime_addr(addr(image, "main")), 1)
-    log.append(KIND_RET, 10, loaded.runtime_addr(addr(image, "main")), 1)
+    append(log, KIND_CALL, 0, loaded.runtime_addr(addr(image, "main")), 1)
+    append(log, KIND_RET, 10, loaded.runtime_addr(addr(image, "main")), 1)
     analysis = Analyzer(image).analyze(log)
     assert analysis.method("main").inclusive == 10
 
 
 def test_unknown_addresses_bucketed(image):
     log = SharedLog.create(16, profiler_addr=image.profiler_addr)
-    log.append(KIND_CALL, 0, 0xDEAD0000, 1)
-    log.append(KIND_RET, 7, 0xDEAD0000, 1)
+    append(log, KIND_CALL, 0, 0xDEAD0000, 1)
+    append(log, KIND_RET, 7, 0xDEAD0000, 1)
     analysis = Analyzer(image).analyze(log)
     assert analysis.methods()[0].method.startswith("[unknown")
 

@@ -37,6 +37,7 @@ from repro.core.columnar import (
 from repro.core.errors import LogFormatError
 from repro.core.recovery import REASON_CRC, REASON_TRUNCATED
 from tests.oracles.batch import read_entries
+from tests.oracles.per_event import append
 
 U64_MAX = (1 << 64) - 1
 
@@ -109,7 +110,7 @@ entry_lists = st.lists(
 def _fill(events, version=1):
     log = SharedLog.create(max(1, len(events)), version=version)
     for kind, counter, addr, tid in events:
-        log.append(kind, counter, addr, tid)
+        append(log, kind, counter, addr, tid)
     log._store_tail()
     return log
 
@@ -151,7 +152,7 @@ def test_thread_sort_preserves_per_thread_order(events):
 def test_v2_call_sites_roundtrip():
     log = SharedLog.create(8, version=2)
     for i in range(8):
-        log.append(KIND_CALL, i, 0x2000 + i, 1, call_site=0x9000 + i)
+        append(log, KIND_CALL, i, 0x2000 + i, 1, call_site=0x9000 + i)
     log._store_tail()
     col = ColumnarLog(encode_log(log, sort_by_thread=False))
     assert col.version == 2 and col.entry_size == 32
@@ -181,8 +182,8 @@ def test_compression_on_the_call_return_shape():
     shrinks well past the gated 3x on fixed-width bytes."""
     log = SharedLog.create(4096)
     for i in range(2048):
-        log.append(KIND_CALL, i * 3, 0x1000 + (i % 7) * 64, 1 + i % 4)
-        log.append(KIND_RET, i * 3 + 1, 0x1000 + (i % 7) * 64,
+        append(log, KIND_CALL, i * 3, 0x1000 + (i % 7) * 64, 1 + i % 4)
+        append(log, KIND_RET, i * 3 + 1, 0x1000 + (i % 7) * 64,
                    1 + i % 4)
     log._store_tail()
     image = encode_log(log)

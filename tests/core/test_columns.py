@@ -13,6 +13,7 @@ from repro.core import HEADER_SIZE, KIND_CALL, KIND_RET, LogStream
 from repro.core.columnar import ColumnarLog, encode_log
 from repro.core.log import VERSION_2
 from tests.oracles.batch import read_entries
+from tests.oracles.per_event import append
 
 
 def sample_log(version=None, n=10):
@@ -20,7 +21,7 @@ def sample_log(version=None, n=10):
     log = SharedLog.create(64, **kwargs)
     for i in range(n):
         kind = KIND_CALL if i % 2 == 0 else KIND_RET
-        log.append(kind, i * 3, 0x1000 + i * 16, 1 + i % 3, call_site=i)
+        append(log, kind, i * 3, 0x1000 + i * 16, 1 + i % 3, call_site=i)
     log._store_tail()
     return log
 
@@ -76,8 +77,8 @@ def test_kind_bit_survives_large_counters():
     """The kind bit (bit 63) must split cleanly from 63-bit counters."""
     log = SharedLog.create(8)
     big = (1 << 63) - 1
-    log.append(KIND_RET, big, 0xAAAA, 9)
-    log.append(KIND_CALL, big - 1, 0xBBBB, 9)
+    append(log, KIND_RET, big, 0xAAAA, 9)
+    append(log, KIND_CALL, big - 1, 0xBBBB, 9)
     cols = log.columns()
     kinds, counters, _, _, _ = cols.as_lists()
     assert kinds == [KIND_RET, KIND_CALL]

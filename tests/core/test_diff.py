@@ -5,6 +5,7 @@ import pytest
 from repro.api import Analyzer, SharedLog
 from repro.core import AnalysisDiff, KIND_CALL, KIND_RET
 from repro.symbols import BinaryImage
+from tests.oracles.per_event import append
 
 
 def build_analysis(spans):
@@ -22,7 +23,7 @@ def build_analysis(spans):
         events.append((enter, KIND_CALL, name))
         events.append((exit_, KIND_RET, name))
     for t, kind, name in sorted(events, key=lambda e: (e[0], e[1])):
-        log.append(kind, t, addr(name), 1)
+        append(log, kind, t, addr(name), 1)
     return Analyzer(image).analyze(log)
 
 

@@ -14,6 +14,7 @@ from repro.core import (
     to_speedscope,
 )
 from repro.symbols import BinaryImage
+from tests.oracles.per_event import append
 
 
 @pytest.fixture
@@ -37,7 +38,7 @@ def analysis():
         (100, KIND_RET, "main"),
     ]
     for t, kind, name in events:
-        log.append(kind, t, addr(name), 1)
+        append(log, kind, t, addr(name), 1)
     return Analyzer(image).analyze(log)
 
 

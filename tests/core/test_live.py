@@ -21,6 +21,7 @@ from repro.core.log import (
 )
 from repro.core.recorder import LiveRecorder, Recorder
 from repro.machine import Machine
+from tests.oracles.per_event import append
 
 
 def make_module():
@@ -197,6 +198,35 @@ def test_live_pause_drops_exactly_the_paused_calls():
         perf.uninstrument()
     assert analysis.method("busy").calls == 5
     assert perf.events_recorded() == 2 * 5
+
+
+def test_auto_pause_drops_the_paused_calls():
+    """``pause()`` stops an auto recording too: the profile hook tests
+    ACTIVE on the log's flags byte before it stages an event."""
+    module = types.ModuleType("auto_pause_app")
+    exec(
+        "def step():\n    return 1\n"
+        "def run(n):\n    for _ in range(n):\n        step()\n",
+        module.__dict__,
+    )
+    sys.modules[module.__name__] = module
+    perf = TEEPerf.auto(scope=module.__name__)
+
+    def paused_in_the_middle():
+        module.run(5)
+        perf.pause()
+        module.run(1000)
+        perf.resume()
+        module.run(5)
+
+    try:
+        perf.record(paused_in_the_middle)
+    finally:
+        sys.modules.pop(module.__name__, None)
+    analysis = perf.analyze()
+    assert analysis.method("auto_pause_app::step()").calls == 10
+    assert analysis.method("auto_pause_app::run()").calls == 2
+    assert perf.events_recorded() == 2 * (10 + 2)
 
 
 def test_live_event_mask_filters_at_staging():
@@ -443,8 +473,9 @@ class _ReadCounter:
 
 
 class _AppendOracle:
-    """Hooks that append every event the flags admit, one
-    ``SharedLog.append`` each, taking a tick only for those."""
+    """Hooks that append every event the flags admit through the
+    per-event reference (``tests/oracles/per_event.py``), taking a
+    tick only for those."""
 
     def __init__(self, log, script):
         self.log = log
@@ -454,7 +485,7 @@ class _AppendOracle:
     def on_event(self, kind, addr):
         log = self.log
         if log.active and log.measures(kind):
-            log.append(kind, self.script.next(), addr, self.tid)
+            append(log, kind, self.script.next(), addr, self.tid)
 
     def flush(self):
         pass
@@ -558,7 +589,7 @@ def test_live_hook_matches_per_event_append(
     source, block, version, sealed, tree, raise_pick, ticks, capacity
 ):
     """The thread's live hook leaves the log image and drop count that
-    per-event ``SharedLog.append`` leaves over the events the flags
+    the per-event reference leaves over the events the flags
     admitted — with ACTIVE and the mask flipping between events, a
     call raising through its callers, a log that may overflow, ticks
     over the whole 64-bit range, and either tick source.  Events the

@@ -5,9 +5,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.api import SharedLog
-from repro.core import ENTRY_SIZE, HEADER_SIZE, KIND_CALL, KIND_RET
+from repro.core import (
+    ENTRY_SIZE,
+    HEADER_SIZE,
+    KIND_CALL,
+    KIND_RET,
+    ThreadLogWriter,
+)
 from repro.core.errors import LogFormatError
 from repro.core.log import VERSION
+from tests.oracles.per_event import append
 
 
 def test_create_sets_header_fields():
@@ -28,8 +35,8 @@ def test_buffer_is_header_plus_entries():
 
 def test_append_and_decode_roundtrip():
     log = SharedLog.create(10)
-    assert log.append(KIND_CALL, 123456, 0x401234, 7)
-    assert log.append(KIND_RET, 123999, 0x401234, 7)
+    assert append(log, KIND_CALL, 123456, 0x401234, 7)
+    assert append(log, KIND_RET, 123999, 0x401234, 7)
     first, second = list(log)
     assert first.is_call and not first.is_ret
     assert first.counter == 123456
@@ -41,9 +48,10 @@ def test_append_and_decode_roundtrip():
 
 def test_full_log_drops_and_counts():
     log = SharedLog.create(2)
-    assert log.append(KIND_CALL, 1, 0x400000, 1)
-    assert log.append(KIND_CALL, 2, 0x400000, 1)
-    assert not log.append(KIND_CALL, 3, 0x400000, 1)
+    writer = ThreadLogWriter(log, 1)  # blocks of one: the per-event case
+    for counter in (1, 2, 3):
+        writer.append(KIND_CALL, counter, 0x400000, 1)
+    assert (writer.flushed, writer.dropped) == (2, 1)
     assert log.dropped == 1
     assert len(log) == 2
 
@@ -60,8 +68,8 @@ def test_active_flag_gates_nothing_here_but_flips_atomically():
 
 def test_dump_load_roundtrip(tmp_path):
     log = SharedLog.create(8, pid=9, profiler_addr=0xABCD)
-    log.append(KIND_CALL, 10, 0x400100, 3)
-    log.append(KIND_RET, 20, 0x400100, 3)
+    append(log, KIND_CALL, 10, 0x400100, 3)
+    append(log, KIND_RET, 20, 0x400100, 3)
     path = tmp_path / "run.teeperf"
     log.dump(path)
     loaded = SharedLog.load(str(path))
@@ -73,9 +81,9 @@ def test_dump_load_roundtrip(tmp_path):
 
 def test_loaded_log_can_keep_appending(tmp_path):
     log = SharedLog.create(4)
-    log.append(KIND_CALL, 1, 0x400000, 1)
+    append(log, KIND_CALL, 1, 0x400000, 1)
     reloaded = SharedLog.from_bytes(log.to_bytes())
-    reloaded.append(KIND_RET, 2, 0x400000, 1)
+    append(reloaded, KIND_RET, 2, 0x400000, 1)
     assert [e.kind for e in reloaded] == [KIND_CALL, KIND_RET]
 
 
@@ -96,23 +104,15 @@ def test_nonpositive_capacity_rejected():
 
 def test_entry_index_out_of_range():
     log = SharedLog.create(4)
-    log.append(KIND_CALL, 1, 2, 3)
+    append(log, KIND_CALL, 1, 2, 3)
     with pytest.raises(IndexError):
         log.entry(1)
-
-
-def test_reserve_write_split_api():
-    log = SharedLog.create(4)
-    index = log.try_reserve()
-    assert index == 0
-    log.write_entry(index, KIND_RET, 42, 0x400000, 5)
-    assert log.entry(0).counter == 42
 
 
 def test_counter_value_packs_63_bits():
     log = SharedLog.create(2)
     huge = (1 << 63) - 1
-    log.append(KIND_RET, huge, 0, 0)
+    append(log, KIND_RET, huge, 0, 0)
     entry = log.entry(0)
     assert entry.counter == huge
     assert entry.is_ret
@@ -134,7 +134,7 @@ def test_set_profiler_addr_and_pid_late():
 )
 def test_entry_roundtrip_property(kind, counter, addr, tid):
     log = SharedLog.create(1)
-    log.append(kind, counter, addr, tid)
+    append(log, kind, counter, addr, tid)
     entry = log.entry(0)
     assert entry.kind == kind
     assert entry.counter == counter
@@ -145,7 +145,7 @@ def test_entry_roundtrip_property(kind, counter, addr, tid):
 @given(n=st.integers(min_value=1, max_value=200), cap=st.integers(1, 50))
 def test_never_exceeds_capacity(n, cap):
     log = SharedLog.create(cap)
-    written = sum(bool(log.append(KIND_CALL, i, i, 0)) for i in range(n))
+    written = sum(bool(append(log, KIND_CALL, i, i, 0)) for i in range(n))
     assert written == min(n, cap)
     assert len(log) == min(n, cap)
     assert log.dropped == max(0, n - cap)

@@ -1,15 +1,18 @@
 """Tests for log version 2 (call sites) and the event mask."""
 
+import itertools
 import sys
 import types
+from types import SimpleNamespace
 
 import pytest
 
 from repro.api import Analyzer, SharedLog, TEEPerf
-from repro.core import KIND_CALL, KIND_RET
+from repro.core import KIND_CALL, KIND_RET, ThreadLogWriter
 from repro.core.errors import LogFormatError
 from repro.core.log import ENTRY_SIZE_V2, HEADER_SIZE, VERSION_2
 from repro.symbols import BinaryImage
+from tests.oracles.per_event import append
 
 
 def test_v2_entries_are_32_bytes():
@@ -21,7 +24,7 @@ def test_v2_entries_are_32_bytes():
 
 def test_v2_roundtrips_call_site():
     log = SharedLog.create(4, version=VERSION_2)
-    log.append(KIND_CALL, 100, 0x401000, 7, call_site=0x400500)
+    append(log, KIND_CALL, 100, 0x401000, 7, call_site=0x400500)
     entry = log.entry(0)
     assert entry.call_site == 0x400500
     assert entry.addr == 0x401000
@@ -29,13 +32,13 @@ def test_v2_roundtrips_call_site():
 
 def test_v1_ignores_call_site_silently():
     log = SharedLog.create(4)
-    log.append(KIND_CALL, 100, 0x401000, 7, call_site=0x400500)
+    append(log, KIND_CALL, 100, 0x401000, 7, call_site=0x400500)
     assert log.entry(0).call_site == 0
 
 
 def test_v2_survives_dump_and_load(tmp_path):
     log = SharedLog.create(4, version=VERSION_2)
-    log.append(KIND_CALL, 1, 0x400100, 1, call_site=0x400050)
+    append(log, KIND_CALL, 1, 0x400100, 1, call_site=0x400050)
     path = tmp_path / "v2.teeperf"
     log.dump(str(path))
     loaded = SharedLog.load(str(path))
@@ -56,25 +59,41 @@ def test_unknown_version_rejected():
         SharedLog.from_bytes(bytes(buf))
 
 
+def ticking_hook(log, tid=1, step=1):
+    """A block-of-one hook of thread `tid` over `log` (made ACTIVE),
+    reading ticks ``step, 2 * step, ...`` through ``read()``."""
+    log.set_active(True)
+    ticks = itertools.count(step, step)
+    writer = ThreadLogWriter(log, block=1)
+    return writer.make_hook(tid, SimpleNamespace(read=ticks.__next__))
+
+
 def test_event_mask_filters_kinds():
     log = SharedLog.create(16)
+    on_event = ticking_hook(log)
     log.set_event_mask(calls=True, rets=False)
-    assert log.append(KIND_CALL, 1, 0x400000, 1)
-    assert not log.append(KIND_RET, 2, 0x400000, 1)
+    on_event(KIND_CALL, 0x400000)
+    on_event(KIND_RET, 0x400000)
     assert len(log) == 1
     assert log.dropped == 0  # filtered, not dropped
     log.set_event_mask(calls=True, rets=True)
-    assert log.append(KIND_RET, 3, 0x400000, 1)
+    on_event(KIND_RET, 0x400000)
+    assert [(e.kind, e.counter) for e in log] == [
+        (KIND_CALL, 1),
+        (KIND_RET, 2),
+    ]
 
 
 def test_calls_only_profile_still_counts_calls():
     image = BinaryImage("app")
     addr = image.add_function("hot", size=64)
     log = SharedLog.create(64, profiler_addr=image.profiler_addr)
+    on_event = ticking_hook(log, step=5)
     log.set_event_mask(calls=True, rets=False)
-    for i in range(5):
-        log.append(KIND_CALL, i * 10, addr, 1)
-        log.append(KIND_RET, i * 10 + 5, addr, 1)  # filtered out
+    for _ in range(5):
+        on_event(KIND_CALL, addr)
+        on_event(KIND_RET, addr)  # filtered out
+    assert len(log) == 5
     analysis = Analyzer(image).analyze(log)
     assert analysis.method("hot").calls == 5
     assert analysis.truncated_calls() == 5  # no returns: all truncated
@@ -88,11 +107,11 @@ def test_analyzer_crosschecks_v2_call_sites():
     log = SharedLog.create(
         16, profiler_addr=image.profiler_addr, version=VERSION_2
     )
-    log.append(KIND_CALL, 0, main, 1)
+    append(log, KIND_CALL, 0, main, 1)
     # leaf claims it was called from rogue, but the stack says main.
-    log.append(KIND_CALL, 10, leaf, 1, call_site=rogue + 4)
-    log.append(KIND_RET, 20, leaf, 1)
-    log.append(KIND_RET, 30, main, 1)
+    append(log, KIND_CALL, 10, leaf, 1, call_site=rogue + 4)
+    append(log, KIND_RET, 20, leaf, 1)
+    append(log, KIND_RET, 30, main, 1)
     analysis = Analyzer(image).analyze(log)
     assert analysis.meta["callsite_mismatches"] == 1
 
@@ -104,10 +123,10 @@ def test_analyzer_accepts_consistent_v2_call_sites():
     log = SharedLog.create(
         16, profiler_addr=image.profiler_addr, version=VERSION_2
     )
-    log.append(KIND_CALL, 0, main, 1)
-    log.append(KIND_CALL, 10, leaf, 1, call_site=main + 8)
-    log.append(KIND_RET, 20, leaf, 1)
-    log.append(KIND_RET, 30, main, 1)
+    append(log, KIND_CALL, 0, main, 1)
+    append(log, KIND_CALL, 10, leaf, 1, call_site=main + 8)
+    append(log, KIND_RET, 20, leaf, 1)
+    append(log, KIND_RET, 30, main, 1)
     analysis = Analyzer(image).analyze(log)
     assert analysis.meta["callsite_mismatches"] == 0
 
@@ -116,7 +135,11 @@ def test_auto_tracer_fills_v2_call_sites():
     module = types.ModuleType("v2_app")
     exec(
         "def inner():\n    return 1\n"
-        "def outer():\n    return inner() + 1\n",
+        "def outer():\n"
+        "    total = 0\n"
+        "    for _ in range(9):\n"
+        "        total += inner()\n"
+        "    return total\n",
         module.__dict__,
     )
     sys.modules["v2_app"] = module
@@ -126,11 +149,12 @@ def test_auto_tracer_fills_v2_call_sites():
         analysis = perf.analyze()
         assert analysis.meta["version"] == VERSION_2
         assert analysis.meta["callsite_mismatches"] == 0
-        # The inner call entry carries outer's address as call site.
-        entries = list(perf.recorder.log)
-        inner_calls = [
-            e for e in entries if e.is_call and e.call_site != 0
-        ]
-        assert inner_calls
+        assert analysis.method("v2_app::inner()").calls == 9
+        # Every inner call entry carries outer's runtime address as
+        # its call site; outer's own caller is out of scope (0).
+        calls = [e for e in perf.recorder.log if e.is_call]
+        assert len(calls) == 10
+        assert calls[0].call_site == 0
+        assert [e.call_site for e in calls[1:]] == [calls[0].addr] * 9
     finally:
         sys.modules.pop("v2_app", None)

@@ -6,6 +6,7 @@ from repro.api import Analyzer, SharedLog
 from repro.core import KIND_CALL, KIND_RET, QuerySession
 from repro.core.errors import AnalyzerError
 from repro.symbols import BinaryImage
+from tests.oracles.per_event import append
 
 
 @pytest.fixture
@@ -19,22 +20,22 @@ def session():
 
     log = SharedLog.create(256, profiler_addr=image.profiler_addr)
     # Thread 1: main -> 3x get (10 ticks each) + put (40).
-    log.append(KIND_CALL, 0, a("main"), 1)
+    append(log, KIND_CALL, 0, a("main"), 1)
     t = 10
     for _ in range(3):
-        log.append(KIND_CALL, t, a("get"), 1)
-        log.append(KIND_RET, t + 10, a("get"), 1)
+        append(log, KIND_CALL, t, a("get"), 1)
+        append(log, KIND_RET, t + 10, a("get"), 1)
         t += 20
-    log.append(KIND_CALL, 80, a("put"), 1)
-    log.append(KIND_RET, 120, a("put"), 1)
-    log.append(KIND_RET, 200, a("main"), 1)
+    append(log, KIND_CALL, 80, a("put"), 1)
+    append(log, KIND_RET, 120, a("put"), 1)
+    append(log, KIND_RET, 200, a("main"), 1)
     # Thread 2: one get, plus a pathological lock_wait (1 fast, 1 slow).
-    log.append(KIND_CALL, 0, a("get"), 2)
-    log.append(KIND_RET, 12, a("get"), 2)
-    log.append(KIND_CALL, 20, a("lock_wait"), 2)
-    log.append(KIND_RET, 22, a("lock_wait"), 2)
-    log.append(KIND_CALL, 30, a("lock_wait"), 2)
-    log.append(KIND_RET, 1030, a("lock_wait"), 2)
+    append(log, KIND_CALL, 0, a("get"), 2)
+    append(log, KIND_RET, 12, a("get"), 2)
+    append(log, KIND_CALL, 20, a("lock_wait"), 2)
+    append(log, KIND_RET, 22, a("lock_wait"), 2)
+    append(log, KIND_CALL, 30, a("lock_wait"), 2)
+    append(log, KIND_RET, 1030, a("lock_wait"), 2)
     analysis = Analyzer(image).analyze(log)
     return QuerySession(analysis)
 

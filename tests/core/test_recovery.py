@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.api import (
     Analyzer,
     LiveRecorder,
+    Recorder,
     RecoveryReport,
     SharedLog,
     recover_log,
@@ -50,7 +51,11 @@ from repro.faults import (
     crashed_snapshot,
     run_to_crash,
 )
+from repro.machine import Machine
+from repro.machine.errors import SimThreadError
 from repro.symbols import BinaryImage
+from repro.tee import NATIVE, make_env
+from tests.oracles.per_event import append
 
 
 @pytest.fixture
@@ -114,7 +119,7 @@ def test_unsealed_log_bytes_unchanged(image):
     was before the format learned to seal."""
     log = SharedLog.create(64, profiler_addr=image.profiler_addr)
     for kind, a, counter, tid in balanced_events(image, 1):
-        log.append(kind, counter, a, tid)
+        append(log, kind, counter, a, tid)
     data = log.to_bytes()
     assert len(data) == HEADER_SIZE + 64 * log.entry_size
     assert not SharedLog.from_bytes(data).sealed
@@ -127,7 +132,7 @@ def test_seal_journal_roundtrip_property(counts):
     cursor = 0
     for count in counts:
         for i in range(count):
-            log.append(KIND_CALL, cursor + i, 0x1000, 1)
+            append(log, KIND_CALL, cursor + i, 0x1000, 1)
         log.seal(cursor, count)
         cursor += count
     reloaded = SharedLog.from_bytes(log.to_bytes())
@@ -191,9 +196,12 @@ def test_fault_matrix_crash_point_sweep(crash_flush):
     assert report.entries_quarantined == 4  # the unsealed block
 
 
-def test_app_crash_mid_call_sealed_blocks_survive(image):
-    """A simulated application dying mid-call: the sealed blocks the
-    writer committed before the death are recoverable."""
+@pytest.mark.parametrize("mode", ["live", "simulated"])
+def test_app_crash_mid_call_sealed_blocks_survive(image, mode):
+    """An application dying mid-call: the sealed blocks the writers
+    committed before the death are recoverable — live with blocks of
+    8, and simulated at its default blocks of one, where every entry
+    is sealed as it commits."""
     guard = crash_after(30)
 
     class App:
@@ -208,11 +216,26 @@ def test_app_crash_mid_call_sealed_blocks_survive(image):
     instrumenter = Instrumenter("crash-app")
     instrumenter.instrument_instance(app)
     program = instrumenter.finish()
-    recorder = LiveRecorder(
-        program, capacity=1 << 12, writer_block=8, sealed=True
-    )
+    if mode == "live":
+        recorder = LiveRecorder(
+            program, capacity=1 << 12, writer_block=8, sealed=True
+        )
+        entry = app.main
+    else:
+        machine = Machine(cores=2)
+        recorder = Recorder(
+            machine, make_env(machine, NATIVE), program,
+            capacity=1 << 12, sealed=True,
+        )
+
+        def entry():
+            try:
+                machine.run(app.main)
+            except SimThreadError as err:
+                raise err.__cause__  # the crash, as the live run sees it
+
     try:
-        snapshot = run_to_crash(recorder, app.main)
+        snapshot = run_to_crash(recorder, entry)
     finally:
         program.restore_all()
     salvaged, report = recover_log(snapshot)
@@ -221,6 +244,11 @@ def test_app_crash_mid_call_sealed_blocks_survive(image):
     assert report.segments_recovered > 0
     assert report.entries_salvaged > 0
     assert report.entries_salvaged == len(salvaged)
+    if mode == "simulated":
+        # main's CALL, 29 finished calls, the crashing call and both
+        # RETs its unwinding logged: all committed, all sealed.
+        assert report.entries_salvaged == 1 + 2 * 29 + 2 + 1
+        assert report.entries_quarantined == 0
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +341,7 @@ def test_auto_recover_identical_to_undamaged_prefix(image):
 
     prefix = SharedLog.create(64, profiler_addr=image.profiler_addr)
     for kind, a, counter, tid in balanced_events(image, 4)[:k]:
-        prefix.append(kind, counter, a, tid)
+        append(prefix, kind, counter, a, tid)
     baseline = Analyzer(image).analyze(prefix)
 
     def signature(analysis):
@@ -383,9 +411,9 @@ def test_recovery_stats_and_require_clean_helpers(image):
 
 def test_repair_tails_balances_and_counts(image):
     log = SharedLog.create(16, profiler_addr=image.profiler_addr)
-    log.append(KIND_CALL, 0, addr(image, "main"), 1)
-    log.append(KIND_CALL, 10, addr(image, "work"), 1)
-    log.append(KIND_RET, 20, addr(image, "leaf"), 1)  # matches nothing
+    append(log, KIND_CALL, 0, addr(image, "main"), 1)
+    append(log, KIND_CALL, 10, addr(image, "work"), 1)
+    append(log, KIND_RET, 20, addr(image, "leaf"), 1)  # matches nothing
     # main and work left open at the end.
     report = RecoveryReport()
     repaired = repair_tails(log, report)

@@ -3,6 +3,7 @@
 import json
 
 from repro.core import PipelineStats
+from tests.oracles.per_event import append
 
 
 def sample_stats():
@@ -91,7 +92,7 @@ def test_compression_ratio_flows_to_dict_and_metrics():
     addr = next(iter(img.symtab)).addr
     log = SharedLog.create(64, profiler_addr=img.profiler_addr)
     for i in range(32):
-        log.append(KIND_CALL if i % 2 == 0 else KIND_RET, i, addr, 1)
+        append(log, KIND_CALL if i % 2 == 0 else KIND_RET, i, addr, 1)
     log._store_tail()
     image = encode_log(log)
 

@@ -20,6 +20,7 @@ from repro.core import KIND_CALL, KIND_RET, LogStream, PipelineStats, to_json
 from repro.core.log import VERSION_2
 from repro.symbols import BinaryImage, CachedResolver
 from tests.oracles.batch import analyze_batch, read_entries
+from tests.oracles.per_event import append
 
 
 @pytest.fixture
@@ -41,7 +42,7 @@ def make_log(image, events, capacity=4096, version=None):
     log = SharedLog.create(capacity, **kwargs)
     for kind, name, counter, tid, *rest in events:
         call_site = addr(image, rest[0]) if rest else 0
-        log.append(kind, counter, addr(image, name), tid, call_site=call_site)
+        append(log, kind, counter, addr(image, name), tid, call_site=call_site)
     return log
 
 
@@ -110,14 +111,15 @@ def fixture_logs(image):
     )
     # Unknown addresses (outside every function).
     unknown = SharedLog.create(16, profiler_addr=image.profiler_addr)
-    unknown.append(KIND_CALL, 0, 0xDEAD0000, 1)
-    unknown.append(KIND_RET, 7, 0xDEAD0000, 1)
+    append(unknown, KIND_CALL, 0, 0xDEAD0000, 1)
+    append(unknown, KIND_RET, 7, 0xDEAD0000, 1)
     logs["unknown-v1"] = unknown
     # A relocated (ASLR) log.
     loaded = image.load(aslr_seed=99)
     relocated = SharedLog.create(16, profiler_addr=loaded.profiler_addr)
     for kind, name, counter, tid in nested:
-        relocated.append(
+        append(
+            relocated,
             kind, counter, loaded.runtime_addr(addr(image, name)), tid
         )
     logs["relocated-v1"] = relocated
@@ -203,7 +205,7 @@ def test_streaming_matches_batch_property(events, jobs):
         image.add_function(name, size=64)
     log = SharedLog.create(256, profiler_addr=image.profiler_addr)
     for kind, name, counter, tid in events:
-        log.append(kind, counter, image.symtab.by_name(name).addr, tid)
+        append(log, kind, counter, image.symtab.by_name(name).addr, tid)
     analyzer = Analyzer(image)
     assert_equivalent(
         analyze_batch(analyzer, log),

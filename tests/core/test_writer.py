@@ -1,16 +1,21 @@
-"""The batched record path: ThreadLogWriter vs per-event append.
+"""The record path: ThreadLogWriter vs the per-event reference.
 
 The differential oracle of the block-reservation work: for any
 single-thread event sequence, the batched writer must produce a log
-image *byte-identical* to the per-event ``append`` path — same header
-words (tail included), same entry bytes.  On top of that, drop
-accounting at the capacity boundary must stay exact (surrendered tail
-slots are events, counted once), and ACTIVE/event-mask flips landing
-between a block's staging and its flush must follow the documented
-contract: staged events always commit, later events see the new flags.
+image *byte-identical* to the per-event reference in
+``tests/oracles/per_event.py`` (one reserved slot per event, packed
+with ``struct``) — same header words (tail included), same entry
+bytes.  On top of that, drop accounting at the capacity boundary must
+stay exact (surrendered tail slots are events, counted once), and
+ACTIVE/event-mask flips landing between a block's staging and its
+flush must follow the documented contract: the hook decides at
+staging time, staged events always commit, later events see the new
+flags.
 """
 
+import itertools
 import threading
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +24,7 @@ from hypothesis import strategies as st
 from repro.api import SharedLog
 from repro.core import KIND_CALL, KIND_RET, ThreadLogWriter
 from repro.core.log import VERSION_2
+from tests.oracles.per_event import append
 
 
 def make_pair(capacity=64, version=None):
@@ -30,10 +36,11 @@ def make_pair(capacity=64, version=None):
 
 
 def replay(events, baseline, batched, block):
-    """Feed `events` through both paths and flush the batched one."""
+    """Feed `events` through the per-event reference and a batched
+    writer, and flush the writer."""
     writer = ThreadLogWriter(batched, block=block)
     for kind, counter, addr, tid in events:
-        baseline.append(kind, counter, addr, tid)
+        append(baseline, kind, counter, addr, tid)
         writer.append(kind, counter, addr, tid)
     writer.flush()
     baseline._store_tail()
@@ -164,21 +171,27 @@ def test_writer_drops_feed_pipeline_stats():
 
 
 def test_event_mask_checked_at_staging_time():
-    """A mask flip after events are staged affects later events only;
-    the already-staged ones still commit at flush."""
+    """The hook decides at staging time: a mask flip after events are
+    staged affects later events only (a masked one reads no tick),
+    and the already-staged ones still commit at flush."""
     log = SharedLog.create(16)
+    log.set_active(True)
     writer = ThreadLogWriter(log, block=8)
-    assert writer.append(KIND_CALL, 1, 0x1000, 1)
-    assert writer.append(KIND_RET, 2, 0x1000, 1)
+    on_event = writer.make_hook(1, SimpleNamespace(
+        read=itertools.count(1).__next__
+    ))
+    on_event(KIND_CALL, 0x1000)
+    on_event(KIND_RET, 0x1000)
     log.set_event_mask(calls=False, rets=True)
-    assert not writer.append(KIND_CALL, 3, 0x1040, 1)  # filtered now
-    assert writer.append(KIND_RET, 4, 0x1040, 1)
+    on_event(KIND_CALL, 0x1040)  # filtered now
+    on_event(KIND_RET, 0x1040)
+    assert writer.pending == 3
     log.set_event_mask(calls=True, rets=True)
     writer.flush()
-    assert [(e.kind, e.counter) for e in log] == [
-        (KIND_CALL, 1),
-        (KIND_RET, 2),
-        (KIND_RET, 4),
+    assert [(e.kind, e.counter, e.addr) for e in log] == [
+        (KIND_CALL, 1, 0x1000),
+        (KIND_RET, 2, 0x1000),
+        (KIND_RET, 3, 0x1040),
     ]
 
 

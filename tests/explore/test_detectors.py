@@ -14,6 +14,7 @@ from repro.explore import (
     workload_by_name,
 )
 from repro.explore.workloads import RacyCounterWorkload
+from tests.oracles.per_event import append
 
 
 class TestLocksetDetector(unittest.TestCase):
@@ -89,7 +90,7 @@ class TestOracles(unittest.TestCase):
 
         log = SharedLog.create(8, sealed=True)
         for i in range(6):
-            log.append(0, 100 + i, 0x400000 + i, 1)
+            append(log, 0, 100 + i, 0x400000 + i, 1)
         log._store_tail()
         report = check_recovery_accounting(log.to_bytes())
         self.assertEqual(
@@ -102,7 +103,7 @@ class TestOracles(unittest.TestCase):
         from repro.core.log import SharedLog
 
         log = SharedLog.create(4, sealed=True)
-        log.append(0, 1, 0x400000, 1)
+        append(log, 0, 1, 0x400000, 1)
         log._store_tail()
         image = log.to_bytes()
 

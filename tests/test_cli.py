@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from tests.oracles.per_event import append
 
 
 def test_demo_then_inspect(tmp_path, capsys):
@@ -45,10 +46,10 @@ def test_inspect_multithreaded_log(tmp_path, capsys):
     from repro.core import KIND_CALL, KIND_RET
 
     log = SharedLog.create(16, pid=7)
-    log.append(KIND_CALL, 10, 0x400000, 1)
-    log.append(KIND_CALL, 12, 0x400040, 2)
-    log.append(KIND_RET, 20, 0x400040, 2)
-    log.append(KIND_RET, 30, 0x400000, 1)
+    append(log, KIND_CALL, 10, 0x400000, 1)
+    append(log, KIND_CALL, 12, 0x400040, 2)
+    append(log, KIND_RET, 20, 0x400040, 2)
+    append(log, KIND_RET, 30, 0x400000, 1)
     path = tmp_path / "run.teeperf"
     log.dump(str(path))
     assert main(["inspect", str(path)]) == 0
