@@ -19,11 +19,7 @@ column codecs, counters, exporters, markers) keeps its home here.
 
 from repro.core.analyzer import Analysis, CallRecord, MethodStats
 from repro.core.diff import AnalysisDiff, MethodDelta
-from repro.core.reconstruct import (
-    RecordColumns,
-    reconstruct_python,
-    reconstruct_vector,
-)
+from repro.core.reconstruct import RecordColumns, reconstruct_vector
 from repro.core.export import (
     to_callgrind,
     to_gprof,
@@ -98,7 +94,6 @@ __all__ = [
     "RecordColumns",
     "RecorderError",
     "RecoveryError",
-    "reconstruct_python",
     "reconstruct_vector",
     "TEEPerfError",
     "ThreadLogWriter",

@@ -50,12 +50,7 @@ from repro.core.recovery import (
     recovery_stats,
     require_clean,
 )
-from repro.core.reconstruct import (
-    ENGINES,
-    CallRecord,
-    RecordColumns,
-    run_shard,
-)
+from repro.core.reconstruct import CallRecord, RecordColumns, run_shard
 from repro.core.stats import PipelineStats
 from repro.frame import Frame
 from repro.symbols.symtab import CachedResolver
@@ -317,7 +312,7 @@ class Analyzer:
         self.cache_size = cache_size
 
     def analyze(self, log, jobs=1, chunk_size=None, stats=None,
-                engine="auto", recover="off", options=None):
+                recover="off", options=None):
         """Streaming analysis: chunked ingestion, sharded reconstruction.
 
         `log` may be anything :func:`~repro.core.log.open_log` opens:
@@ -327,14 +322,11 @@ class Analyzer:
         sets the worker-pool width for per-thread shards; `stats` is
         an optional recorder-seeded :class:`PipelineStats` to extend —
         the resulting counters land on ``analysis.pipeline`` either
-        way.  `engine` picks the reconstruction kernel:
-
-        * ``"vector"`` — the whole-shard numpy kernel
-          (:func:`~repro.core.reconstruct.reconstruct_vector`);
-          anomalous shards transparently fall back to the sequential
-          loop, so the output is always the sequential loop's;
-        * ``"python"`` — the sequential loop for every shard;
-        * ``"auto"`` (default) — ``"vector"``.
+        way.  Every shard goes through the whole-shard numpy kernel
+        (:func:`~repro.core.reconstruct.reconstruct_vector`); an
+        anomalous shard is first rewritten by
+        :func:`~repro.core.reconstruct.balance`, which applies the
+        robustness rules above.
 
         `recover` handles damaged logs: ``"off"`` trusts the input,
         ``"auto"`` salvages it first (sealed segments verified by
@@ -345,16 +337,15 @@ class Analyzer:
         quarantined.
 
         An :class:`~repro.core.options.AnalyzeOptions` passed as
-        `options` supplies jobs/chunk_size/engine/recover in one
-        object and takes precedence over the individual kwargs.
+        `options` supplies jobs/chunk_size/recover in one object and
+        takes precedence over the individual kwargs.
 
-        Output is field-for-field identical whatever the engine, jobs
-        or chunk size.
+        Output is field-for-field identical whatever the jobs or chunk
+        size.
         """
         if options is not None:
             jobs = options.jobs
             chunk_size = options.chunk_size
-            engine = options.engine
             recover = options.recover
         if jobs < 1:
             raise AnalyzerError(f"jobs must be positive: {jobs}")
@@ -363,7 +354,6 @@ class Analyzer:
                 f"unknown recover mode {recover!r} (choose from "
                 f"{', '.join(RECOVER_MODES)})"
             )
-        engine = self._resolve_engine(engine)
         chunk_size = chunk_size or DEFAULT_CHUNK_ENTRIES
         recovery_report = None
         if recover != "off":
@@ -380,7 +370,6 @@ class Analyzer:
             stats = stats if stats is not None else PipelineStats()
             stats.jobs = jobs
             stats.chunk_size = chunk_size
-            stats.engine = engine
             if not stats.bytes_written:
                 stats.bytes_written = len(reader) * reader.entry_size
             if not stats.bytes_on_disk and isinstance(reader, ColumnarLog):
@@ -403,9 +392,7 @@ class Analyzer:
                     self._shard_columns(cols, per_thread)
             stats.counter_span = (hi - lo) if lo is not None else 0
 
-            analysis = self._finish_columns(
-                reader, per_thread, jobs, stats, engine
-            )
+            analysis = self._finish_columns(reader, per_thread, jobs, stats)
             analysis.recovery = recovery_report
             return analysis
         finally:
@@ -440,19 +427,9 @@ class Analyzer:
             )
 
     @staticmethod
-    def _resolve_engine(engine):
-        """Validate the knob and resolve ``auto`` to ``vector``."""
-        if engine not in ENGINES:
-            raise AnalyzerError(
-                f"unknown engine {engine!r} (choose from "
-                f"{', '.join(ENGINES)})"
-            )
-        return "vector" if engine == "auto" else engine
-
-    @staticmethod
     def _concat_segment_arrays(segments):
         """Flatten a shard's segments into four numpy arrays — the
-        reconstruction kernels' input shape."""
+        reconstruction kernel's input shape."""
         if len(segments) == 1:
             return segments[0]
         has_cs = segments[0][3] is not None
@@ -463,7 +440,7 @@ class Analyzer:
             _np.concatenate([s[3] for s in segments]) if has_cs else None,
         )
 
-    def _finish_columns(self, log, per_thread, jobs, stats, engine):
+    def _finish_columns(self, log, per_thread, jobs, stats):
         """Reconstruct every shard (serially or on a thread pool that
         shares one symbol cache) and merge.  A shard's exception
         propagates out of ``analyze``."""
@@ -478,8 +455,7 @@ class Analyzer:
                 self._concat_segment_arrays(segments)
             )
             return run_shard(
-                tid, kinds, counters, addrs, call_sites, offset, cache,
-                engine,
+                tid, kinds, counters, addrs, call_sites, offset, cache
             )
 
         if jobs > 1 and len(shards) > 1:
@@ -501,17 +477,17 @@ class Analyzer:
             unmatched += outcome.unmatched
             mismatches += outcome.mismatches
             synthetic_hits += outcome.synthetic_hits
-            if outcome.vectorised:
-                stats.shards_vectorised += 1
-            elif stats.engine == "vector":
+            if outcome.balanced:
                 stats.shards_fallback += 1
+            else:
+                stats.shards_vectorised += 1
         columns = RecordColumns.concat([o.columns for o in outcomes])
         stats.frames_truncated += int(columns.truncated.sum())
         stats.entries_dismissed += unmatched
-        # The vector kernel's unique-address resolves count the
-        # per-call resolutions it *skipped* as hits (the sequential
-        # loop would have answered them from the LRU), keeping the
-        # hit-rate meaningful.
+        # The kernel's unique-address resolves count the per-call
+        # resolutions it *skipped* as hits (a per-event lookup would
+        # have answered them from the LRU), keeping the hit-rate
+        # meaningful.
         stats.cache_hits += cache.hits + synthetic_hits
         stats.cache_misses += cache.misses
 

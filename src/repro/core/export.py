@@ -260,12 +260,12 @@ def to_metrics(analysis, prefix="teeperf"):
         )
         metric(
             "shards_vectorised_total", "counter",
-            "Shards reconstructed by the vector engine's array passes.",
+            "Clean shards the reconstruction kernel took as they came.",
             pipeline.shards_vectorised,
         )
         metric(
             "shards_fallback_total", "counter",
-            "Anomalous shards that fell back to the sequential loop.",
+            "Anomalous shards the balance pass rewrote before the kernel.",
             pipeline.shards_fallback,
         )
         metric(

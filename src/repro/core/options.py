@@ -1,7 +1,7 @@
 """Frozen option objects for the public surface.
 
 Four PRs of organic growth scattered knob kwargs (``writer_block``,
-``jobs``, ``chunk_size``, ``engine``, …) across the recorder, the
+``jobs``, ``chunk_size``, ``recover``, …) across the recorder, the
 analyzer, :func:`repro.phoenix.runner.run_teeperf` and three CLI
 subcommands — each redeclaring its own defaults.  These two frozen
 dataclasses are now the single definition:
@@ -9,8 +9,7 @@ dataclasses are now the single definition:
 * :class:`RecordOptions` — everything that shapes a recording (log
   capacity, batched-writer block size, sealed segments, event mask);
 * :class:`AnalyzeOptions` — everything that shapes an analysis pass
-  (shard-pool width, ingestion chunk size, reconstruction engine,
-  recovery mode).
+  (shard-pool width, ingestion chunk size, recovery mode).
 
 The CLI builds its flags from the same definition via
 :func:`add_record_arguments` / :func:`add_analyze_arguments`, so
@@ -22,7 +21,6 @@ is accepted — the object wins only where it was explicitly passed.
 from dataclasses import dataclass, replace
 
 from repro.core.log import VERSION, _ENTRY_SIZES
-from repro.core.reconstruct import ENGINES
 from repro.core.recovery import RECOVER_MODES
 
 _DEFAULT_CAPACITY = 1 << 20  # entries — mirrors the recorder's default
@@ -89,9 +87,6 @@ class AnalyzeOptions:
         Worker-pool width for per-thread shard reconstruction.
     chunk_size:
         Entries per ingestion chunk (``None`` = the format default).
-    engine:
-        Reconstruction kernel: ``"auto"`` (which means ``"vector"``),
-        ``"vector"`` or ``"python"``.
     recover:
         ``"off"`` (trust the log), ``"auto"`` (salvage damage first,
         attach the report as ``analysis.recovery``) or ``"strict"``
@@ -101,7 +96,6 @@ class AnalyzeOptions:
 
     jobs: int = 1
     chunk_size: int = None
-    engine: str = "auto"
     recover: str = "off"
 
     def __post_init__(self):
@@ -110,10 +104,6 @@ class AnalyzeOptions:
         if self.chunk_size is not None and self.chunk_size < 1:
             raise ValueError(
                 f"chunk_size must be positive: {self.chunk_size}"
-            )
-        if self.engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r} (choose from {ENGINES})"
             )
         if self.recover not in RECOVER_MODES:
             raise ValueError(
@@ -177,13 +167,6 @@ def add_analyze_arguments(parser, defaults=AnalyzeOptions()):
         help="entries decoded per ingestion chunk (default 8192)",
     )
     parser.add_argument(
-        "--engine",
-        choices=list(ENGINES),
-        default=defaults.engine,
-        help="stack-reconstruction kernel: vectorised numpy passes, "
-        "the sequential loop, or auto (= vector)",
-    )
-    parser.add_argument(
         "--recover",
         choices=list(RECOVER_MODES),
         default=defaults.recover,
@@ -198,7 +181,6 @@ def analyze_options_from_args(args, **overrides):
     return AnalyzeOptions(
         jobs=args.jobs,
         chunk_size=args.chunk_size,
-        engine=args.engine,
         recover=args.recover,
         **overrides,
     )

@@ -228,13 +228,13 @@ class TEEPerf:
     # ------------------------------------------------------------------
     # Stage 3: analyze
 
-    def analyze(self, log=None, jobs=1, chunk_size=None, engine="auto",
-                recover="off", options=None):
+    def analyze(self, log=None, jobs=1, chunk_size=None, recover="off",
+                options=None):
         """Analyze the last recording (or an explicit log/path).
 
-        `jobs` widens the analyzer's per-thread shard pool; `engine`
-        picks the reconstruction kernel; `recover` salvages a damaged
-        log first (``"auto"``) or refuses damage (``"strict"``) — see
+        `jobs` widens the analyzer's per-thread shard pool; `recover`
+        salvages a damaged log first (``"auto"``) or refuses damage
+        (``"strict"``) — see
         :meth:`~repro.core.analyzer.Analyzer.analyze`.  An
         :class:`~repro.core.options.AnalyzeOptions` passed as
         `options` wins over the individual kwargs.  The resulting
@@ -251,7 +251,7 @@ class TEEPerf:
         analyzer = Analyzer(self.program.image, tick_ns=self._tick_ns())
         self._analysis = analyzer.analyze(
             source, jobs=jobs, chunk_size=chunk_size, stats=stats,
-            engine=engine, recover=recover, options=options,
+            recover=recover, options=options,
         )
         if self.monitor is not None and self._analysis.pipeline is not None:
             from repro.monitor import PipelineSampler

@@ -1,54 +1,53 @@
-"""The stack-reconstruction kernels: vectorised and sequential.
+"""Stack reconstruction: one vectorised kernel and the paper's rules.
 
 Stage 3's hot loop is turning one thread's call/return events into
-:class:`CallRecord`\\ s.  This module holds both implementations of
-that loop plus the structure-of-arrays result type they meet in:
+:class:`CallRecord`\\ s.  This module holds that loop and the
+structure-of-arrays result type it produces:
 
-* :func:`reconstruct_vector` — the **vectorised kernel**.  For a clean
-  shard (every return matches the frame that the nesting structure
-  says it should), the whole reconstruction is a handful of numpy
-  passes: depth is a ±1 cumulative sum over the event kinds, the k-th
-  return at each depth level pairs with the k-th call at that level
-  (a stable argsort by ``(depth, position)`` on both sides), parents
-  come from a ``searchsorted`` against the enclosing level's call
-  positions, and inclusive/exclusive ticks are per-call subtractions
-  plus one scatter-add of child inclusives onto parents.  No
-  per-entry Python at all.  Shards whose pairing shows an anomaly —
-  a return that would close the wrong frame, a stack that goes
-  negative, a truncated tail — return ``None`` and the caller falls
-  back to the sequential loop below, which implements the paper's
-  full robustness rules.
-* :func:`reconstruct_python` — the sequential, entry-at-a-time loop:
-  the fallback for anomalous shards and the whole of
-  ``engine="python"``.  The vector kernel is tested field-for-field
-  against it.
+* :func:`reconstruct_vector` — the kernel.  For a clean shard (every
+  return matches the frame that the nesting structure says it should),
+  the whole reconstruction is a handful of numpy passes: depth is a ±1
+  cumulative sum over the event kinds, the k-th return at each depth
+  level pairs with the k-th call at that level (a stable argsort by
+  ``(depth, position)`` on both sides), parents come from a
+  ``searchsorted`` against the enclosing level's call positions, and
+  inclusive/exclusive ticks are per-call subtractions plus one
+  scatter-add of child inclusives onto parents.  No per-entry Python
+  at all.  A shard whose pairing shows an anomaly — a return that
+  would close the wrong frame, a stack that goes negative, a
+  truncated tail — returns ``None``.
+* :func:`balance` — the paper's robustness rules, in the one place
+  they live: it rewrites one thread's events into a clean sequence by
+  dropping returns that match no open frame, closing the frames in
+  between when a return matches a deeper frame, and closing frames
+  left open at the thread's last counter.  The closes it adds are
+  *synthetic* returns, and the records they close come out
+  ``truncated``.  :func:`repro.core.recovery.repair_tails` applies the
+  same function to write a balanced log.
 * :class:`RecordColumns` — the columnar result: one array per record
   field with interned method and call-path ids, mirroring
   :class:`~repro.core.log.LogColumns`.  :class:`CallRecord` objects
   are only materialised on demand, so aggregation, folding and frame
   construction never pay the per-record object cost.
-* :func:`run_shard` — one shard through the chosen engine, with the
-  vector kernel's fallback to the sequential loop.  It is
-  thread-safe: the analyzer runs ``jobs=N`` shards on a thread pool
+* :func:`run_shard` — one shard through the kernel; an anomalous
+  shard is balanced once and then goes through the same kernel.  It
+  is thread-safe: the analyzer runs ``jobs=N`` shards on a thread pool
   that shares one symbol cache.
 
 Equivalence note: a shard is *clean* exactly when its kinds form a
 balanced Dyck word (the running ±1 sum never dips below zero and ends
 at zero) and the structurally paired call/return addresses are equal.
-Under those conditions the sequential loop takes its fast branch
-(return matches the open stack's top) at every step, closes frames in
-return order, truncates nothing and dismisses nothing — which is
-precisely what the vectorised passes compute.
+Under those conditions every return closes the open stack's top, so
+frames close in return order and nothing is truncated or dismissed —
+which is precisely what the vectorised passes compute, and what
+:func:`balance` produces from any input.
 """
 
 from dataclasses import dataclass
 
 import numpy as _np
 
-from repro.core.log import KIND_CALL
-
-#: The analyzer's engine knob; ``"auto"`` means ``"vector"``.
-ENGINES = ("auto", "vector", "python")
+from repro.core.log import KIND_CALL, KIND_RET
 
 
 @dataclass(frozen=True)
@@ -145,8 +144,8 @@ class RecordColumns:
         )
 
     def path_tuple(self, pid):
-        """The call path for one path id, as the sequential loop's
-        tuple — memoised, so equal paths share one tuple object."""
+        """The call path for one path id as a tuple of method names,
+        root first — memoised, so equal paths share one tuple object."""
         cached = self._tuples.get(pid)
         if cached is not None:
             return cached
@@ -202,62 +201,6 @@ class RecordColumns:
             f"RecordColumns({len(self)} records, "
             f"{len(self.methods)} methods, {len(self.paths)} paths)"
         )
-
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def from_records(cls, records):
-        """Columnise a sequential reconstructor's record list (the
-        sequential shard's bridge into the columnar merge).  The
-        original records are kept as the materialisation cache, so
-        converting costs no later rebuild."""
-        name_id = {}
-        methods = []
-        by_tuple = {(): -1}
-        paths = []
-
-        def intern_name(name):
-            mid = name_id.get(name)
-            if mid is None:
-                mid = name_id[name] = len(methods)
-                methods.append(name)
-            return mid
-
-        def intern_path(path):
-            pid = by_tuple.get(path)
-            if pid is None:
-                parent = intern_path(path[:-1])
-                pid = len(paths)
-                paths.append((parent, intern_name(path[-1])))
-                by_tuple[path] = pid
-            return pid
-
-        n = len(records)
-        method_id = _np.empty(n, dtype=_np.int64)
-        tid = _np.empty(n, dtype=_np.uint64)
-        enter = _np.empty(n, dtype=_np.int64)
-        exit_ = _np.empty(n, dtype=_np.int64)
-        inclusive = _np.empty(n, dtype=_np.int64)
-        exclusive = _np.empty(n, dtype=_np.int64)
-        depth = _np.empty(n, dtype=_np.int64)
-        caller_id = _np.empty(n, dtype=_np.int64)
-        path_id = _np.empty(n, dtype=_np.int64)
-        truncated = _np.empty(n, dtype=bool)
-        for i, r in enumerate(records):
-            method_id[i] = intern_name(r.method)
-            tid[i] = r.tid
-            enter[i] = r.enter
-            exit_[i] = r.exit
-            inclusive[i] = r.inclusive
-            exclusive[i] = r.exclusive
-            depth[i] = r.depth
-            caller_id[i] = intern_name(r.caller) if r.caller is not None else -1
-            path_id[i] = intern_path(r.path)
-            truncated[i] = r.truncated
-        out = cls(method_id, tid, enter, exit_, inclusive, exclusive,
-                  depth, caller_id, path_id, truncated, methods, paths)
-        out._records = list(records)
-        return out
 
     @classmethod
     def concat(cls, parts):
@@ -320,18 +263,20 @@ class RecordColumns:
 
 
 def reconstruct_vector(tid, kinds, counters, addrs, call_sites, offset,
-                       cache):
+                       cache, synthetic=None):
     """Reconstruct one clean shard in whole-array passes.
 
     Inputs are the shard's four columns (numpy ``uint64`` arrays;
-    ``call_sites`` is ``None`` for v1 logs) and the shared symbol
-    cache.  Returns ``(columns, mismatches, resolutions_requested,
+    ``call_sites`` is ``None`` for v1 logs), the shared symbol cache
+    and, for a shard :func:`balance` rewrote, its ``synthetic`` mask:
+    a record closed by a synthetic return is ``truncated``.  Returns
+    ``(columns, mismatches, resolutions_requested,
     resolutions_performed)`` — the last two feed the pipeline's
     cache-hit accounting, because the kernel resolves each *unique*
-    address once where the sequential loop resolves every call event
-    — or ``None`` when the shard is anomalous and must take the
-    sequential fallback (unmatched returns, cross-frame closes,
-    truncated tails).
+    address once where a per-event loop would resolve every call
+    event — or ``None`` when the shard is anomalous and must be
+    balanced first (unmatched returns, cross-frame closes, truncated
+    tails).
     """
     n = len(kinds)
     if n == 0:
@@ -415,7 +360,7 @@ def reconstruct_vector(tid, kinds, counters, addrs, call_sites, offset,
 
     # Timing: inclusive per pair, exclusive after one scatter-add of
     # child inclusives onto parents (children always close first, so
-    # the accumulation order matches the sequential loop's).
+    # the accumulation order is a stack walk's).
     counters = _np.asarray(counters).astype(_np.int64, copy=False)
     enter = counters[call_pos]
     exit_ = counters[ret_of_call]
@@ -448,9 +393,13 @@ def reconstruct_vector(tid, kinds, counters, addrs, call_sites, offset,
             paths.append((int(k // width) - 1, int(k % width)))
         path_id[sel] = base + key_inv
 
-    # Records appear in close order — exactly the sequential loop's
-    # append order for a clean shard.
+    # Records appear in close order, so the k-th record is closed by
+    # the k-th return.
     order = _np.argsort(ret_of_call, kind="stable")
+    if synthetic is None:
+        truncated = _np.zeros(n_calls, dtype=bool)
+    else:
+        truncated = synthetic[ret_pos]
     columns = RecordColumns(
         method_id=mid_arr[order],
         tid=_np.full(n_calls, tid, dtype=_np.uint64),
@@ -461,7 +410,7 @@ def reconstruct_vector(tid, kinds, counters, addrs, call_sites, offset,
         depth=call_depth[order],
         caller_id=caller_id[order],
         path_id=path_id[order],
-        truncated=_np.zeros(n_calls, dtype=bool),
+        truncated=truncated,
         methods=methods,
         paths=paths,
     )
@@ -469,98 +418,67 @@ def reconstruct_vector(tid, kinds, counters, addrs, call_sites, offset,
 
 
 # ======================================================================
-# The sequential loop
+# The matching rules
 
 
-class _OpenFrame:
-    __slots__ = ("addr", "method", "enter", "child_ticks", "call_site",
-                 "path")
+def balance(kinds, counters, addrs, call_sites):
+    """Rewrite one thread's events into a balanced sequence.
 
-    def __init__(self, addr, method, enter, call_site=0, path=()):
-        self.addr = addr
-        self.method = method
-        self.enter = enter
-        self.child_ticks = 0
-        self.call_site = call_site
-        self.path = path
+    The paper's robustness rules, applied in log order against the
+    stack of open calls:
 
+    * a return that matches no open frame is dropped and counted;
+    * a return that matches a deeper frame gets synthetic returns for
+      the frames in between, at its own counter;
+    * frames still open at the end get synthetic returns at the
+      thread's last counter.
 
-def reconstruct_python(tid, kinds, counters, addrs, call_sites, offset,
-                       cache):
-    """The sequential, entry-at-a-time reconstruction loop.
-
-    Implements the paper's full robustness rules (truncate frames left
-    open, close intermediates when a return matches a deeper frame,
-    dismiss unmatched returns), so it takes every shard the vector
-    kernel declines.  Path
-    tuples are interned — records sharing a call path share one tuple
-    object — which cuts resident memory on deep, hot call sites
-    without changing any record's value.
+    Inputs are numpy ``uint64`` columns (``call_sites`` is ``None`` for
+    v1 logs).  Returns ``(columns, synthetic, source, dropped)``: the
+    balanced ``(kinds, counters, addrs, call_sites)`` (a synthetic
+    return has call site 0), a bool mask of the synthetic returns, the
+    input row each output row stands for (a synthetic return stands
+    for the return it precedes, a closing one at the end for
+    ``len(kinds)``), and the number of returns dropped.
     """
-    stack = []
-    records = []
-    unmatched = 0
-    mismatches = 0
-    interned = {}
-    last_counter = counters[-1] if len(counters) else 0
-
-    def close(frame, at, truncated):
-        inclusive = max(0, at - frame.enter)
-        exclusive = max(0, inclusive - frame.child_ticks)
-        if stack:
-            stack[-1].child_ticks += inclusive
-        records.append(
-            CallRecord(
-                method=frame.method,
-                tid=tid,
-                enter=frame.enter,
-                exit=at,
-                inclusive=inclusive,
-                exclusive=exclusive,
-                depth=len(stack),
-                caller=stack[-1].method if stack else None,
-                path=frame.path,
-                truncated=truncated,
-            )
-        )
-
-    if call_sites is None:
-        iterator = zip(kinds, counters, addrs)
-        call_sites_absent = True
-    else:
-        iterator = zip(kinds, counters, addrs, call_sites)
-        call_sites_absent = False
-    for fields in iterator:
-        if call_sites_absent:
-            kind, counter, addr = fields
-            call_site = 0
-        else:
-            kind, counter, addr, call_site = fields
+    n = len(kinds)
+    source = []  # input row per output row
+    closes = {}  # output row of a synthetic return -> the call it closes
+    open_rows = []  # input rows of the open calls, innermost last
+    open_addrs = []
+    dropped = 0
+    for i, (kind, addr) in enumerate(zip(kinds.tolist(), addrs.tolist())):
         if kind == KIND_CALL:
-            # v2 logs carry the call site; cross-check it against the
-            # stack-derived caller (a log-integrity diagnostic).
-            if call_site and stack:
-                expected = resolve_name(cache, call_site, offset)
-                if expected != stack[-1].method:
-                    mismatches += 1
-            method = resolve_name(cache, addr, offset)
-            parent_path = stack[-1].path if stack else ()
-            path = parent_path + (method,)
-            path = interned.setdefault(path, path)
-            stack.append(_OpenFrame(addr, method, counter, call_site, path))
-            continue
-        # A return: match against the open stack.
-        if stack and stack[-1].addr == addr:
-            close(stack.pop(), counter, truncated=False)
-        elif any(f.addr == addr for f in stack):
-            while stack[-1].addr != addr:
-                close(stack.pop(), counter, truncated=True)
-            close(stack.pop(), counter, truncated=False)
+            open_rows.append(i)
+            open_addrs.append(addr)
+        elif open_addrs and open_addrs[-1] == addr:
+            open_rows.pop()
+            open_addrs.pop()
+        elif addr in open_addrs:
+            while open_addrs.pop() != addr:
+                closes[len(source)] = open_rows.pop()
+                source.append(i)
+            open_rows.pop()
         else:
-            unmatched += 1
-    while stack:
-        close(stack.pop(), last_counter, truncated=True)
-    return records, unmatched, mismatches
+            dropped += 1
+            continue
+        source.append(i)
+    while open_rows:
+        closes[len(source)] = open_rows.pop()
+        source.append(n)
+    source = _np.asarray(source, dtype=_np.int64)
+    synthetic = _np.zeros(len(source), dtype=bool)
+    synthetic[list(closes)] = True
+    row = _np.minimum(source, n - 1)  # a closing row reads the last counter
+    out_kinds = kinds[row]
+    out_kinds[synthetic] = KIND_RET
+    out_addrs = addrs[row]
+    out_addrs[synthetic] = addrs[list(closes.values())]
+    if call_sites is not None:
+        call_sites = call_sites[row]
+        call_sites[synthetic] = 0
+    columns = (out_kinds, counters[row], out_addrs, call_sites)
+    return columns, synthetic, source, dropped
 
 
 # ======================================================================
@@ -569,46 +487,44 @@ def reconstruct_python(tid, kinds, counters, addrs, call_sites, offset,
 
 @dataclass
 class ShardOutcome:
-    """What one shard's reconstruction produced, however it ran."""
+    """What one shard's reconstruction produced."""
 
     columns: RecordColumns
     unmatched: int = 0
     mismatches: int = 0
-    vectorised: bool = False
-    #: Entry-level resolutions the vector kernel answered from its
-    #: unique-address pass — counted as cache hits, since the
-    #: sequential loop would have taken them from the LRU.
+    #: True when the shard was anomalous and :func:`balance` rewrote
+    #: it before the kernel ran.
+    balanced: bool = False
+    #: Entry-level resolutions the kernel answered from its
+    #: unique-address pass — counted as cache hits, since a per-event
+    #: lookup would have taken them from the LRU.
     synthetic_hits: int = 0
 
 
-def run_shard(tid, kinds, counters, addrs, call_sites, offset, cache,
-              engine):
-    """Reconstruct one shard (numpy ``uint64`` columns) with the
-    resolved engine ("vector" or "python").
+def run_shard(tid, kinds, counters, addrs, call_sites, offset, cache):
+    """Reconstruct one shard (numpy ``uint64`` columns).
 
-    The vector engine transparently falls back to the sequential loop
-    on anomalous shards; either way the result is a
-    :class:`RecordColumns`.
+    A clean shard goes straight to the kernel; an anomalous one is
+    balanced once and then goes to the same kernel.  Either way the
+    result is a :class:`RecordColumns`.
     """
-    if engine == "vector":
-        out = reconstruct_vector(
-            tid, kinds, counters, addrs, call_sites, offset, cache
-        )
-        if out is not None:
-            columns, mismatches, requested, performed = out
-            return ShardOutcome(
-                columns=columns,
-                mismatches=mismatches,
-                vectorised=True,
-                synthetic_hits=requested - performed,
-            )
-    records, unmatched, mismatches = reconstruct_python(
-        tid, kinds.tolist(), counters.tolist(), addrs.tolist(),
-        call_sites.tolist() if call_sites is not None else None,
-        offset, cache,
+    out = reconstruct_vector(
+        tid, kinds, counters, addrs, call_sites, offset, cache
     )
+    balanced = out is None
+    dropped = 0
+    if balanced:
+        columns, synthetic, _, dropped = balance(
+            kinds, counters, addrs, call_sites
+        )
+        out = reconstruct_vector(
+            tid, *columns, offset, cache, synthetic=synthetic
+        )
+    columns, mismatches, requested, performed = out
     return ShardOutcome(
-        columns=RecordColumns.from_records(records),
-        unmatched=unmatched,
+        columns=columns,
+        unmatched=dropped,
         mismatches=mismatches,
+        balanced=balanced,
+        synthetic_hits=requested - performed,
     )

@@ -27,12 +27,13 @@ plus per-thread salvage counts and the four counters that flow into
 ``entries_salvaged``, ``entries_quarantined``, ``crc_failures``).
 
 :func:`repair_tails` is a separate, explicitly requested pass
-(``tee-perf recover --repair-tails``) that balances each thread's
-CALL/RET tail with synthetic returns so the strict vector engine
-accepts every shard; the analyzer's ``recover="auto"`` path does *not*
-repair — the python oracle already closes open frames as truncated,
-which keeps salvaged-prefix analysis byte-identical to analysing the
-undamaged prefix.
+(``tee-perf recover --repair-tails``) that writes each thread's events
+back balanced, with synthetic returns, by the same
+:func:`~repro.core.reconstruct.balance` the analyzer applies to an
+anomalous shard.  The analyzer's ``recover="auto"`` path does *not*
+repair: it balances in memory and marks the frames it closes as
+truncated, which keeps salvaged-prefix analysis byte-identical to
+analysing the undamaged prefix.
 """
 
 import os
@@ -46,8 +47,6 @@ from repro.core.errors import LogFormatError, RecoveryError
 from repro.core.log import (
     FLAG_MULTITHREAD,
     HEADER_SIZE,
-    KIND_CALL,
-    KIND_RET,
     SharedLog,
     _map_file,
     _merge_intervals,
@@ -56,6 +55,7 @@ from repro.core.log import (
     _VERSION_SHIFT,
     is_compressed_image,
 )
+from repro.core.reconstruct import balance
 
 #: Valid ``recover=`` modes for :meth:`repro.core.analyzer.Analyzer.analyze`:
 #: ``"off"`` trusts the log, ``"auto"`` salvages damage and analyses
@@ -510,56 +510,56 @@ def recovery_stats(report, stats):
 
 
 def repair_tails(log, report=None):
-    """Balance every thread's CALL/RET tail so strict engines accept it.
+    """Balance every thread's CALL/RET events with synthetic returns.
 
-    Three repairs, per thread, preserving per-thread order:
-
-    * a RET that matches no open frame is dropped (counted);
-    * a RET that matches a *deeper* frame gets synthetic RETs for the
-      intermediate frames spliced in front of it (same counter), so
-      nesting stays perfectly matched;
-    * frames still open at the end of the log are closed with
-      synthetic RETs at the thread's last observed counter.
+    Each thread's events, in first-appearance order, go through
+    :func:`~repro.core.reconstruct.balance`, the analyzer's own
+    matching rules: a RET that matches no open frame is dropped
+    (counted), a RET that matches a *deeper* frame gets synthetic RETs
+    for the frames in between (same counter), and frames still open at
+    the end get synthetic RETs at the thread's last counter.  The rows
+    go back in log order: a synthetic RET just before the RET it
+    precedes, and the closes at the end after every entry, thread by
+    thread.
 
     Returns a fresh balanced :class:`SharedLog`; counts go on
     `report` (``tails_repaired`` / ``rets_dropped``) when given.
     """
-    stacks = {}  # tid -> list of open call addrs
-    last_counter = {}  # tid -> last counter observed
-    kept = []  # (kind, counter, addr, tid, call_site)
+    cols = log.columns()
+    n = len(cols)
+    tids, first, inverse = _np.unique(
+        cols.tid, return_index=True, return_inverse=True
+    )
+    parts = []  # per thread: (position, kind, counter, addr, tid, call_site)
     added = dropped = 0
-    for e in log:
-        last_counter[e.tid] = e.counter
-        stack = stacks.setdefault(e.tid, [])
-        if e.kind == KIND_CALL:
-            stack.append(e.addr)
-            kept.append((KIND_CALL, e.counter, e.addr, e.tid, e.call_site))
-            continue
-        if e.addr in stack:
-            while stack and stack[-1] != e.addr:
-                kept.append(
-                    (KIND_RET, e.counter, stack.pop(), e.tid, 0)
-                )
-                added += 1
-            stack.pop()
-            kept.append((KIND_RET, e.counter, e.addr, e.tid, e.call_site))
-        else:
-            dropped += 1
-    for tid, stack in stacks.items():
-        while stack:
-            kept.append((KIND_RET, last_counter[tid], stack.pop(), tid, 0))
-            added += 1
+    for j in _np.argsort(first, kind="stable").tolist():
+        rows = _np.nonzero(inverse == j)[0]
+        (kind, counter, addr, call_site), synthetic, source, lost = balance(
+            cols.kind[rows], cols.counter[rows], cols.addr[rows],
+            None if cols.call_site is None else cols.call_site[rows],
+        )
+        # Log order: a synthetic RET takes the position of the RET it
+        # precedes, a close at the end takes len(log).
+        position = _np.append(rows, n)[source]
+        tid = _np.full(len(source), tids[j], dtype=_np.uint64)
+        parts.append((position, kind, counter, addr, tid, call_site))
+        added += int(synthetic.sum())
+        dropped += lost
     out = SharedLog.create(
-        max(1, log.capacity, len(kept)),
+        max(1, log.capacity, n - dropped + added),
         pid=log.pid,
         profiler_addr=log.profiler_addr,
         shm_base=log.shm_base,
         multithread=log.multithread,
         version=log.version,
     )
-    if kept:
-        kind, counter, addr, tid, call_site = zip(*kept)
-        out.append_columns(kind, counter, addr, tid, call_site)
+    if parts:
+        position, *columns = zip(*parts)
+        order = _np.argsort(_np.concatenate(position), kind="stable")
+        out.append_columns(*(
+            None if col[0] is None else _np.concatenate(col)[order]
+            for col in columns
+        ))
     out._store_tail()
     if report is not None:
         report.tails_repaired += added

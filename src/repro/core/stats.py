@@ -59,10 +59,10 @@ class PipelineStats:
         Symbol-resolution LRU traffic (see
         :class:`repro.symbols.CachedResolver`).
     shards_vectorised / shards_fallback:
-        Shards the vector engine reconstructed in whole-array passes
-        vs. shards whose anomalies (unmatched returns, cross-frame
-        closes, truncated tails) forced the sequential fallback.
-        Both stay 0 under ``engine="python"``.
+        Shards the reconstruction kernel took as they came vs.
+        shards whose anomalies (unmatched returns, cross-frame closes,
+        truncated tails) the balance pass rewrote first.  Every shard
+        is one or the other, so they add up to ``shards_analyzed``.
     segments_sealed:
         Seal records observed: committed writer blocks carrying a
         CRC32 in the log's seal journal (0 for unsealed logs and when
@@ -83,9 +83,6 @@ class PipelineStats:
         Bytes the persisted image actually occupies.  Equal to
         ``bytes_written`` plus the 64-byte header for uncompressed
         dumps; far smaller under rev 1.2 columnar compression.
-    engine:
-        The resolved reconstruction engine (``"vector"`` or
-        ``"python"``; ``""`` before analysis has run).
     """
 
     entries_recorded: int = 0
@@ -110,7 +107,6 @@ class PipelineStats:
     crc_failures: int = 0
     bytes_written: int = 0
     bytes_on_disk: int = 0
-    engine: str = ""
 
     # ------------------------------------------------------------------
     # Derived rates
@@ -149,9 +145,7 @@ class PipelineStats:
         wider/larger of the two.
         """
         for f in fields(self):
-            if f.name == "engine":
-                self.engine = self.engine or other.engine
-            elif f.name in ("jobs", "chunk_size", "writer_block"):
+            if f.name in ("jobs", "chunk_size", "writer_block"):
                 setattr(
                     self, f.name, max(getattr(self, f.name), getattr(other, f.name))
                 )
@@ -201,10 +195,9 @@ class PipelineStats:
             f"  chunks processed:  {self.chunks_processed}"
             + (f"   ({self.chunk_size} entries/chunk)" if self.chunk_size else ""),
             f"  shards analyzed:   {self.shards_analyzed}"
-            f"   (jobs={self.jobs})"
-            + (f" (engine={self.engine})" if self.engine else ""),
+            f"   (jobs={self.jobs})",
             f"  shards vectorised: {self.shards_vectorised}"
-            f"   ({self.shards_fallback} fell back)",
+            f"   ({self.shards_fallback} balanced first)",
             f"  recovery:          {self.entries_salvaged} salvaged, "
             f"{self.entries_quarantined} quarantined "
             f"({self.segments_sealed} sealed segments, "

@@ -29,6 +29,7 @@ global randomness, so every test failure replays exactly.
 import random
 
 from repro.core.log import HEADER_SIZE, ThreadLogWriter
+from repro.machine.errors import SimThreadError
 
 __all__ = [
     "CRASH_PHASES",
@@ -199,6 +200,12 @@ def run_to_crash(recorder, entry, *args, **kwargs):
     """Start `recorder`, run `entry` until it raises
     :class:`InjectedCrash`, and return the crashed snapshot bytes.
 
+    `entry` may be ``machine.run`` for a simulated recorder: the
+    machine re-raises a simulated thread's crash as a
+    :class:`~repro.machine.errors.SimThreadError`, which counts as the
+    crash when its ``original`` is an :class:`InjectedCrash`.  Any
+    other error propagates.
+
     Deliberately never calls ``recorder.stop()`` — stop flushes the
     hooks and seals the remainder, which would hide the crash.  Only
     the counter is stopped, after the snapshot, so a live recorder's
@@ -210,6 +217,10 @@ def run_to_crash(recorder, entry, *args, **kwargs):
     try:
         entry(*args, **kwargs)
     except InjectedCrash:
+        return crashed_snapshot(recorder.log)
+    except SimThreadError as err:
+        if not isinstance(err.original, InjectedCrash):
+            raise
         return crashed_snapshot(recorder.log)
     else:
         raise AssertionError(

@@ -208,9 +208,9 @@ class PipelineSampler(Sampler):
             ("chunks_processed", "Fixed-size ingestion chunks decoded."),
             ("shards_analyzed", "Per-thread shards reconstructed."),
             ("shards_vectorised",
-             "Shards reconstructed by the vector engine's array passes."),
+             "Clean shards the reconstruction kernel took as they came."),
             ("shards_fallback",
-             "Anomalous shards that fell back to the sequential loop."),
+             "Anomalous shards the balance pass rewrote before the kernel."),
             ("segments_sealed",
              "Sealed writer blocks (CRC seal records) observed."),
             ("entries_salvaged",
@@ -228,10 +228,6 @@ class PipelineSampler(Sampler):
             registry.counter(
                 f"pipeline_{field}_total", help_text
             ).set_total(getattr(stats, field))
-        registry.gauge(
-            "pipeline_vectorised",
-            "1 when the resolved reconstruction engine is 'vector'.",
-        ).set(1 if stats.engine == "vector" else 0)
         registry.gauge(
             "pipeline_cache_hit_rate",
             "Fraction of symbol resolutions served from the LRU.",

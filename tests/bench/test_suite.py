@@ -68,7 +68,7 @@ def test_derived_views_written_next_to_suite(suite):
     _, out, payload = suite
     views = {
         "BENCH_record.json": ("write", "decode"),
-        "BENCH_analyze.json": ("vector_speedup",),
+        "BENCH_analyze.json": ("entries_per_sec",),
         "BENCH_monitor.json": ("overhead_fraction",),
         "BENCH_recovery.json": ("fault_matrix",),
         "BENCH_accuracy.json": ("tee_max_error",),

@@ -1,21 +1,24 @@
-"""The vectorised reconstruction engine vs the sequential oracle.
+"""The reconstruction kernel and the balance pass vs the sequential
+oracle.
 
-The contract under test: whatever the engine or jobs count,
-``Analyzer.analyze`` produces field-for-field identical profiles — and
-the vector engine only keeps a shard when its whole-array pairing is
-provably the oracle's replay, falling back transparently otherwise.
+The contract under test: whatever the jobs count, ``Analyzer.analyze``
+produces profiles field-for-field identical to the batch oracle's
+entry-at-a-time stack walk (:mod:`tests.oracles.batch`).  The kernel
+takes a clean shard as it comes; an anomalous shard is rewritten by
+:func:`~repro.core.reconstruct.balance` first, the same rules
+:func:`~repro.api.repair_tails` writes into a log.
 """
 
 import json
+from dataclasses import replace
 from itertools import chain, zip_longest
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import Analyzer, SharedLog
+from repro.api import Analyzer, RecoveryReport, SharedLog, repair_tails
 from repro.core import (
-    AnalyzerError,
     KIND_CALL,
     KIND_RET,
     PipelineStats,
@@ -26,6 +29,7 @@ from repro.core import (
 )
 from repro.core.reconstruct import run_shard
 from repro.monitor import MetricRegistry, PipelineSampler
+from tests.oracles.batch import analyze_batch
 from tests.oracles.per_event import append
 
 FUNCTIONS = ("main", "work", "leaf", "spin", "idle")
@@ -54,27 +58,27 @@ def build_log(image, events):
 def assert_identical(image, events):
     analyzer = Analyzer(image)
     log = build_log(image, events)
-    vector = analyzer.analyze(log, engine="vector")
-    python = analyzer.analyze(log, engine="python")
-    assert vector.records == python.records
-    assert vector.unmatched_returns == python.unmatched_returns
-    assert vector.meta == python.meta
-    assert vector.folded() == python.folded()
-    assert vector.threads() == python.threads()
+    analysis = analyzer.analyze(log)
+    batch = analyze_batch(analyzer, log)
+    assert analysis.records == batch.records
+    assert analysis.unmatched_returns == batch.unmatched_returns
+    assert analysis.meta == batch.meta
+    assert analysis.folded() == batch.folded()
+    assert analysis.threads() == batch.threads()
     assert (
-        list(vector.records_frame().rows())
-        == list(python.records_frame().rows())
+        list(analysis.records_frame().rows())
+        == list(batch.records_frame().rows())
     )
     assert [
         (s.method, s.calls, s.inclusive, s.exclusive, s.min_inclusive,
          s.max_inclusive, s.threads)
-        for s in vector.methods()
+        for s in analysis.methods()
     ] == [
         (s.method, s.calls, s.inclusive, s.exclusive, s.min_inclusive,
          s.max_inclusive, s.threads)
-        for s in python.methods()
+        for s in batch.methods()
     ]
-    return vector, python
+    return analysis, batch
 
 
 # ----------------------------------------------------------------------
@@ -108,8 +112,9 @@ def test_vector_matches_oracle_on_anomalous_shards(ops):
     assert_identical(img, events)
 
 
-# Guided walks: mostly clean nesting so the vector path itself (not
-# just its fallback) is exercised, with occasional injected anomalies.
+# Guided walks: mostly clean nesting so the kernel takes shards as
+# they come (not just balanced ones), with occasional injected
+# anomalies.
 guided_walk = st.lists(
     st.tuples(st.integers(0, 9), st.integers(0, len(FUNCTIONS) - 1)),
     max_size=80,
@@ -159,12 +164,10 @@ def test_clean_shards_take_the_vector_path(image):
         (KIND_RET, 1, 70, 1),
         (KIND_RET, 0, 100, 1),
     ]
-    vector, python = assert_identical(image, events)
-    assert vector.pipeline.engine == "vector"
+    vector, _ = assert_identical(image, events)
+    assert vector.pipeline.shards_analyzed == 1
     assert vector.pipeline.shards_vectorised == 1
     assert vector.pipeline.shards_fallback == 0
-    assert python.pipeline.engine == "python"
-    assert python.pipeline.shards_vectorised == 0
 
 
 def test_anomalous_shards_fall_back(image):
@@ -175,26 +178,59 @@ def test_anomalous_shards_fall_back(image):
         (KIND_CALL, 1, 0, 2),  # truncated tail on tid 2
     ]
     vector, _ = assert_identical(image, events)
+    # Both shards are balanced before the kernel runs: the counters
+    # split every shard between "as it came" and "balanced first".
+    assert vector.pipeline.shards_analyzed == 2
     assert vector.pipeline.shards_vectorised == 0
     assert vector.pipeline.shards_fallback == 2
-    # Fallback shards still merge into a columnar analysis.
+    assert vector.unmatched_returns == 1
+    assert vector.truncated_calls() == 1
     assert isinstance(vector.columns, RecordColumns)
 
 
-def test_engine_python_forces_the_sequential_loop(image):
-    events = [(KIND_CALL, 0, 0, 1), (KIND_RET, 0, 50, 1)]
-    analyzer = Analyzer(image)
-    analysis = analyzer.analyze(build_log(image, events), engine="python")
-    assert analysis.pipeline.engine == "python"
-    assert analysis.pipeline.shards_vectorised == 0
-    assert analysis.pipeline.shards_fallback == 0
-    assert analysis.records[0].method == "main"
+def test_engine_keyword_is_rejected(image):
+    """There is one reconstruction path, so there is no knob."""
+    log = build_log(image, [(KIND_CALL, 0, 0, 1), (KIND_RET, 0, 50, 1)])
+    with pytest.raises(TypeError):
+        Analyzer(image).analyze(log, engine="vector")
 
 
-def test_unknown_engine_rejected(image):
-    analyzer = Analyzer(image)
-    with pytest.raises(AnalyzerError):
-        analyzer.analyze(build_log(image, []), engine="simd")
+@settings(deadline=None, max_examples=120)
+@given(event_soup)
+def test_repair_tails_writes_what_the_analyzer_balances(ops):
+    """The matching rules have two callers: the analyzer balances an
+    anomalous shard in memory and marks the frames it closes
+    truncated, ``repair_tails`` writes the same closes into the log.
+    Per thread, analysing the repaired log gives the original
+    analysis with ``truncated`` cleared, and the repair counts are
+    the analysis's counts."""
+    from repro.symbols import BinaryImage
+
+    img = BinaryImage("app")
+    for name in FUNCTIONS:
+        img.add_function(name, size=64)
+    log = build_log(img, [
+        (kind, fn, 10 * i, tid) for i, (kind, fn, tid) in enumerate(ops)
+    ])
+    analyzer = Analyzer(img)
+    original = analyzer.analyze(log)
+    report = RecoveryReport()
+    repaired = analyzer.analyze(repair_tails(log, report))
+
+    def per_thread(records):
+        threads = {}
+        for record in records:
+            threads.setdefault(record.tid, []).append(
+                replace(record, truncated=False)
+            )
+        return threads
+
+    assert per_thread(repaired.records) == per_thread(original.records)
+    assert repaired.unmatched_returns == 0
+    assert repaired.truncated_calls() == 0
+    assert repaired.pipeline.shards_fallback == 0
+    assert report.tails_repaired == original.pipeline.frames_truncated
+    assert report.rets_dropped == original.unmatched_returns
 
 
 # ----------------------------------------------------------------------
@@ -224,7 +260,7 @@ def test_record_columns_lazy_materialisation(image):
 
 
 def test_path_tuples_are_interned(image):
-    # The same call path, entered many times, on both engines.
+    # The same call path, entered many times.
     events = []
     for i in range(4):
         base = 100 * i
@@ -234,15 +270,13 @@ def test_path_tuples_are_interned(image):
             (KIND_RET, 1, base + 20, 1),
             (KIND_RET, 0, base + 30, 1),
         ]
-    analyzer = Analyzer(image)
-    for engine in ("vector", "python"):
-        analysis = analyzer.analyze(build_log(image, events), engine=engine)
-        inner = [r for r in analysis.records if r.method == "work"]
-        assert len(inner) == 4
-        first = inner[0].path
-        assert first == ("main", "work")
-        for record in inner[1:]:
-            assert record.path is first, engine
+    analysis = Analyzer(image).analyze(build_log(image, events))
+    inner = [r for r in analysis.records if r.method == "work"]
+    assert len(inner) == 4
+    first = inner[0].path
+    assert first == ("main", "work")
+    for record in inner[1:]:
+        assert record.path is first
 
 
 def three_thread_events():
@@ -269,8 +303,8 @@ CALL_TREE = [
 
 def big_log_events():
     """65,598 entries over 4 interleaved threads; thread 3 stops inside
-    its last tree, so its shard falls back to the sequential loop
-    while the others take the vector kernel."""
+    its last tree, so its shard is balanced before the kernel while
+    the others go to the kernel as they are."""
     per_thread = []
     for tid in (1, 2, 3, 4):
         events = []
@@ -324,10 +358,7 @@ def test_shard_failure_propagates_from_the_thread_pool(image, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "options",
-    [{"engine": "vector"}, {"engine": "python"}, {"jobs": 3},
-     {"jobs": 3, "engine": "python"}],
-    ids=["vector", "python", "jobs3", "jobs3-python"],
+    "options", [{}, {"jobs": 3}], ids=["vector", "jobs3"],
 )
 @pytest.mark.parametrize("events", [three_thread_events(), []],
                          ids=["traced", "empty"])
@@ -359,30 +390,27 @@ def test_call_counts_read_the_columns(image, monkeypatch):
 
 def test_engine_counters_exported(image):
     events = [(KIND_CALL, 0, 0, 1), (KIND_RET, 0, 50, 1)]
-    analysis = Analyzer(image).analyze(
-        build_log(image, events), engine="vector"
-    )
+    analysis = Analyzer(image).analyze(build_log(image, events))
     stats = analysis.pipeline
 
     payload = json.loads(to_json(analysis))["pipeline"]
-    assert payload["engine"] == "vector"
     assert payload["shards_vectorised"] == 1
     assert payload["shards_fallback"] == 0
     assert PipelineStats.from_dict(payload) == stats
+    # A snapshot from before the engine knob went still loads.
+    assert PipelineStats.from_dict({**payload, "engine": "vector"}) == stats
 
     metrics = to_metrics(analysis)
     assert "teeperf_shards_vectorised_total 1" in metrics
     assert "teeperf_shards_fallback_total 0" in metrics
 
     report = stats.report()
-    assert "(engine=vector)" in report
     assert "shards vectorised: 1" in report
 
     registry = MetricRegistry()
     PipelineSampler(stats).sample(registry)
     assert registry.value("pipeline_shards_vectorised_total") == 1
     assert registry.value("pipeline_shards_fallback_total") == 0
-    assert registry.value("pipeline_vectorised") == 1
 
 
 def test_query_session_frames_are_lazy(image):

@@ -35,6 +35,7 @@ from repro.core import (
 )
 from repro.core.columnar import encode_log
 from repro.core.errors import LogFormatError, RecoveryError
+from repro.core.log import VERSION_2
 from repro.core.recovery import (
     REASON_CRC,
     REASON_UNSEALED,
@@ -220,22 +221,17 @@ def test_app_crash_mid_call_sealed_blocks_survive(image, mode):
         recorder = LiveRecorder(
             program, capacity=1 << 12, writer_block=8, sealed=True
         )
-        entry = app.main
+        entry, args = app.main, ()
     else:
         machine = Machine(cores=2)
         recorder = Recorder(
             machine, make_env(machine, NATIVE), program,
             capacity=1 << 12, sealed=True,
         )
-
-        def entry():
-            try:
-                machine.run(app.main)
-            except SimThreadError as err:
-                raise err.__cause__  # the crash, as the live run sees it
+        entry, args = machine.run, (app.main,)
 
     try:
-        snapshot = run_to_crash(recorder, entry)
+        snapshot = run_to_crash(recorder, entry, *args)
     finally:
         program.restore_all()
     salvaged, report = recover_log(snapshot)
@@ -249,6 +245,30 @@ def test_app_crash_mid_call_sealed_blocks_survive(image, mode):
         # RETs its unwinding logged: all committed, all sealed.
         assert report.entries_salvaged == 1 + 2 * 29 + 2 + 1
         assert report.entries_quarantined == 0
+
+
+def test_run_to_crash_propagates_a_simulated_bug():
+    """Only an injected crash is a crash: any other error a simulated
+    thread raises propagates out of ``run_to_crash``."""
+
+    class App:
+        def main(self):
+            raise ValueError("a real bug")
+
+    app = App()
+    instrumenter = Instrumenter("buggy-app")
+    instrumenter.instrument_instance(app)
+    program = instrumenter.finish()
+    machine = Machine(cores=2)
+    recorder = Recorder(
+        machine, make_env(machine, NATIVE), program, capacity=64
+    )
+    try:
+        with pytest.raises(SimThreadError) as err:
+            run_to_crash(recorder, machine.run, app.main)
+    finally:
+        program.restore_all()
+    assert isinstance(err.value.original, ValueError)
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +443,49 @@ def test_repair_tails_balances_and_counts(image):
     assert kinds.count(KIND_CALL) == kinds.count(KIND_RET) == 2
     analysis = Analyzer(image).analyze(repaired)
     assert analysis.unmatched_returns == 0
+
+
+def test_repair_tails_keeps_log_order(image):
+    """Synthetic RETs (call site 0) sit just before the RET they
+    precede; the closes for frames left open follow every entry,
+    thread by thread in first-appearance order, each at its thread's
+    last counter."""
+    main, work, leaf = (addr(image, n) for n in ("main", "work", "leaf"))
+    site = 0x99  # a v2 call site on every CALL
+    log = SharedLog.create(
+        16, profiler_addr=image.profiler_addr, version=VERSION_2
+    )
+    for kind, a, counter, tid in [
+        (KIND_CALL, main, 0, 1),
+        (KIND_CALL, work, 5, 2),
+        (KIND_CALL, work, 10, 1),
+        (KIND_CALL, leaf, 20, 1),
+        (KIND_RET, leaf, 25, 2),  # matches nothing on thread 2
+        (KIND_RET, main, 30, 1),  # closes leaf and work first
+        (KIND_CALL, work, 40, 1),
+        (KIND_CALL, leaf, 45, 2),
+    ]:
+        append(log, kind, counter, a, tid,
+               call_site=site if kind == KIND_CALL else 0)
+    report = RecoveryReport()
+    repaired = repair_tails(log, report)
+    assert [
+        (e.kind, e.addr, e.counter, e.tid, e.call_site) for e in repaired
+    ] == [
+        (KIND_CALL, main, 0, 1, site),
+        (KIND_CALL, work, 5, 2, site),
+        (KIND_CALL, work, 10, 1, site),
+        (KIND_CALL, leaf, 20, 1, site),
+        (KIND_RET, leaf, 30, 1, 0),
+        (KIND_RET, work, 30, 1, 0),
+        (KIND_RET, main, 30, 1, 0),
+        (KIND_CALL, work, 40, 1, site),
+        (KIND_CALL, leaf, 45, 2, site),
+        (KIND_RET, work, 40, 1, 0),
+        (KIND_RET, leaf, 45, 2, 0),
+        (KIND_RET, work, 45, 2, 0),
+    ]
+    assert (report.tails_repaired, report.rets_dropped) == (5, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,19 @@
 analyzer and the way this repository first implemented it: the whole
 log read one :class:`~repro.core.log.LogEntry` at a time, entries
 grouped per thread in first-appearance order, and each thread's stack
-rebuilt by :func:`~repro.core.reconstruct.reconstruct_python` on a
-single worker.  No column chunks, no sharding pool, no vector kernel.
+rebuilt by :func:`reconstruct_python`, an entry-at-a-time loop over an
+explicit stack of open frames, on a single worker.  No column chunks,
+no sharding pool, no vector kernel and no balance pass.
 
 The streaming :meth:`~repro.core.analyzer.Analyzer.analyze` must match
-it byte for byte on every log, engine, chunk size and ``jobs`` value.
+it byte for byte on every log, chunk size and ``jobs`` value.
 """
 
+import numpy as np
+
 from repro.core.analyzer import Analysis
-from repro.core.reconstruct import RecordColumns, reconstruct_python
+from repro.core.log import KIND_CALL
+from repro.core.reconstruct import CallRecord, RecordColumns, resolve_name
 from repro.core.stats import PipelineStats
 from repro.symbols import CachedResolver
 
@@ -24,11 +28,140 @@ def read_entries(log):
     return [log.entry(i) for i in range(len(log))]
 
 
+class _OpenFrame:
+    __slots__ = ("addr", "method", "enter", "child_ticks", "path")
+
+    def __init__(self, addr, method, enter, path):
+        self.addr = addr
+        self.method = method
+        self.enter = enter
+        self.child_ticks = 0
+        self.path = path
+
+
+def reconstruct_python(tid, kinds, counters, addrs, call_sites, offset,
+                       cache):
+    """One thread's records, rebuilt an entry at a time.
+
+    The paper's robustness rules as a stack walk: frames left open at
+    the end close at the thread's last counter as truncated, a return
+    that matches a deeper frame closes the frames in between as
+    truncated, and a return that matches no open frame is dismissed.
+    Returns ``(records, unmatched, callsite_mismatches)``; records
+    come in close order and records sharing a call path share one
+    path tuple.
+    """
+    stack = []
+    records = []
+    unmatched = 0
+    mismatches = 0
+    interned = {}
+    last_counter = counters[-1] if len(counters) else 0
+
+    def close(frame, at, truncated):
+        inclusive = max(0, at - frame.enter)
+        exclusive = max(0, inclusive - frame.child_ticks)
+        if stack:
+            stack[-1].child_ticks += inclusive
+        records.append(
+            CallRecord(
+                method=frame.method,
+                tid=tid,
+                enter=frame.enter,
+                exit=at,
+                inclusive=inclusive,
+                exclusive=exclusive,
+                depth=len(stack),
+                caller=stack[-1].method if stack else None,
+                path=frame.path,
+                truncated=truncated,
+            )
+        )
+
+    if call_sites is None:
+        call_sites = [0] * len(kinds)
+    for kind, counter, addr, call_site in zip(
+        kinds, counters, addrs, call_sites
+    ):
+        if kind == KIND_CALL:
+            # v2 logs carry the call site; cross-check it against the
+            # stack-derived caller (a log-integrity diagnostic).
+            if call_site and stack:
+                expected = resolve_name(cache, call_site, offset)
+                if expected != stack[-1].method:
+                    mismatches += 1
+            method = resolve_name(cache, addr, offset)
+            parent_path = stack[-1].path if stack else ()
+            path = parent_path + (method,)
+            path = interned.setdefault(path, path)
+            stack.append(_OpenFrame(addr, method, counter, path))
+            continue
+        # A return: match against the open stack.
+        if stack and stack[-1].addr == addr:
+            close(stack.pop(), counter, truncated=False)
+        elif any(f.addr == addr for f in stack):
+            while stack[-1].addr != addr:
+                close(stack.pop(), counter, truncated=True)
+            close(stack.pop(), counter, truncated=False)
+        else:
+            unmatched += 1
+    while stack:
+        close(stack.pop(), last_counter, truncated=True)
+    return records, unmatched, mismatches
+
+
+def columns_from_records(records):
+    """Columnise a :class:`CallRecord` list, interning method names
+    and call paths in first-appearance order.  The records are kept as
+    the columns' materialisation cache."""
+    name_id = {}
+    methods = []
+    by_tuple = {(): -1}
+    paths = []
+
+    def intern_name(name):
+        if name not in name_id:
+            name_id[name] = len(methods)
+            methods.append(name)
+        return name_id[name]
+
+    def intern_path(path):
+        if path not in by_tuple:
+            parent = intern_path(path[:-1])
+            by_tuple[path] = len(paths)
+            paths.append((parent, intern_name(path[-1])))
+        return by_tuple[path]
+
+    def column(values, dtype):
+        return np.array(list(values), dtype=dtype)
+
+    out = RecordColumns(
+        column((intern_name(r.method) for r in records), np.int64),
+        column((r.tid for r in records), np.uint64),
+        column((r.enter for r in records), np.int64),
+        column((r.exit for r in records), np.int64),
+        column((r.inclusive for r in records), np.int64),
+        column((r.exclusive for r in records), np.int64),
+        column((r.depth for r in records), np.int64),
+        column(
+            (intern_name(r.caller) if r.caller is not None else -1
+             for r in records),
+            np.int64,
+        ),
+        column((intern_path(r.path) for r in records), np.int64),
+        column((r.truncated for r in records), bool),
+        methods,
+        paths,
+    )
+    out._records = list(records)
+    return out
+
+
 def analyze_batch(analyzer, log):
     """Analyse `log` (a :class:`SharedLog`, read through
     :func:`read_entries`) with `analyzer`'s image, tick length and
     cache size."""
-    stats = PipelineStats(jobs=1, engine="python", chunks_processed=1)
+    stats = PipelineStats(jobs=1, chunks_processed=1)
     per_thread = {}
     lo = hi = None
     for entry in read_entries(log):
@@ -72,6 +205,6 @@ def analyze_batch(analyzer, log):
     }
     locations = {sym.pretty: (sym.file, sym.line) for sym in image.symtab}
     return Analysis(
-        RecordColumns.from_records(records), unmatched, analyzer.tick_ns,
+        columns_from_records(records), unmatched, analyzer.tick_ns,
         meta, locations, pipeline=stats,
     )

@@ -147,11 +147,12 @@ def test_analyze_options_validate_and_replace():
     from repro.api import AnalyzeOptions
 
     opts = AnalyzeOptions(jobs=4, recover="auto")
-    assert opts.replace(engine="python").jobs == 4
+    assert opts.replace(chunk_size=64).jobs == 4
+    assert opts.replace(chunk_size=64).recover == "auto"  # others kept
     with pytest.raises(ValueError):
         AnalyzeOptions(jobs=0)
-    with pytest.raises(ValueError):
-        AnalyzeOptions(engine="warp")
+    with pytest.raises(TypeError):
+        AnalyzeOptions(engine="warp")  # one reconstruction path, no knob
     with pytest.raises(ValueError):
         AnalyzeOptions(recover="maybe")
 

@@ -142,6 +142,14 @@ def test_analyze_jobs_and_stats(tmp_path, capsys):
     assert serial == parallel
 
 
+def test_analyze_has_no_engine_flag(capsys):
+    """One reconstruction path: ``--engine`` is an unknown flag."""
+    with pytest.raises(SystemExit) as err:
+        main(["analyze", "run.teeperf", "--engine", "vector"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --engine" in capsys.readouterr().err
+
+
 def test_analyze_missing_symtab(tmp_path, capsys):
     from repro.api import SharedLog
 
