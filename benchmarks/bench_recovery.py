@@ -16,8 +16,10 @@ Three measurements, mirroring docs/log-format.md's recovery contract:
 The measurement cores live in :mod:`repro.bench.workloads.recovery`,
 shared with the suite's ``recovery_matrix`` and ``seal_overhead``
 benchmarks (``python -m repro.bench``), which add repetitions and
-CI-based gates.  Results land in ``benchmarks/out/BENCH_recovery.json``;
-CI runs ``--quick`` as the recovery-smoke job.
+CI-based gates.  Results land in ``benchmarks/out/recovery_matrix.json``
+(not committed); CI runs ``--quick`` as the recovery-smoke job and
+publishes that file.  ``BENCH_recovery.json`` is the suite's derived
+view, not this run.
 """
 
 import argparse
@@ -69,7 +71,7 @@ def main(argv=None):
         "seal_overhead": overhead,
     }
     OUT_DIR.mkdir(exist_ok=True)
-    out = OUT_DIR / "BENCH_recovery.json"
+    out = OUT_DIR / "recovery_matrix.json"
     out.write_text(json.dumps(payload, indent=2) + "\n")
 
     print(
@@ -116,7 +118,7 @@ def test_fault_matrix_floor():
     """The in-tree quick run: the 100% floor enforced under pytest too,
     and the JSON artifact refreshed."""
     assert main(["--quick"]) == 0
-    payload = json.loads((OUT_DIR / "BENCH_recovery.json").read_text())
+    payload = json.loads((OUT_DIR / "recovery_matrix.json").read_text())
     assert payload["fault_matrix"]["recovered_fraction"] == 1.0
 
 

@@ -121,8 +121,9 @@ class Analysis:
 
     def _stats_from_columns(self):
         """Per-method aggregation over the columns: bincount the
-        sums, scatter the min/max, one unique pass for the thread
-        sets; methods keep first-appearance order."""
+        sums, scatter the min/max, one unique pass over a
+        ``method_id * n_tids + tid_code`` key for the thread sets;
+        methods keep first-appearance order."""
         cols = self.columns
         mids = cols.method_id
         n_methods = len(cols.methods)
@@ -139,11 +140,13 @@ class Analysis:
         maxs = _np.full(n_methods, info.min, dtype=_np.int64)
         _np.maximum.at(maxs, mids, cols.inclusive)
         threads = {}
-        pairs = _np.unique(
-            _np.stack((mids, cols.tid.astype(_np.int64)), axis=1), axis=0
+        tids, tid_code = _np.unique(
+            cols.tid.astype(_np.int64), return_inverse=True
         )
-        for mid, tid in pairs.tolist():
-            threads.setdefault(mid, set()).add(tid)
+        tids = tids.tolist()
+        for key in _np.unique(mids * len(tids) + tid_code).tolist():
+            mid, code = divmod(key, len(tids))
+            threads.setdefault(mid, set()).add(tids[code])
         uniq, first = _np.unique(mids, return_index=True)
         stats = {}
         for j in _np.argsort(first, kind="stable").tolist():
@@ -379,7 +382,7 @@ class Analyzer:
 
             # Ingestion: decode fixed-size *column* chunks (one
             # vectorised sweep each — no LogEntry objects), shard per
-            # thread with array masks.
+            # thread with one grouping pass per chunk.
             per_thread = {}
             lo = hi = None
             for cols in reader.iter_column_chunks(chunk_size):
@@ -405,26 +408,30 @@ class Analyzer:
         """Split one decoded column span per thread id, preserving
         thread first-appearance order (the merge order contract).
 
-        Each shard accumulates *segments* — per-chunk column slices —
-        that are concatenated once, just before reconstruction.
+        One stable argsort by thread id groups the span: a thread's
+        rows are one run of the gathered columns, still in log order,
+        and the run's first row is the thread's first appearance.  A
+        span of one thread keeps its own columns.  Each shard
+        accumulates these runs as *segments*, concatenated once just
+        before reconstruction.
         """
-        tid_col = cols.tid
-        uniq, first = _np.unique(tid_col, return_index=True)
-        if len(uniq) == 1:
-            shard = per_thread.setdefault(int(uniq[0]), [])
-            shard.append((cols.kind, cols.counter, cols.addr, cols.call_site))
-            return
-        for j in _np.argsort(first, kind="stable"):
-            t = uniq[j]
-            mask = tid_col == t
-            call_site = (
-                cols.call_site[mask] if cols.call_site is not None else None
-            )
-            shard = per_thread.setdefault(int(t), [])
-            shard.append(
-                (cols.kind[mask], cols.counter[mask], cols.addr[mask],
-                 call_site)
-            )
+        kind, counter, addr, call_site = (
+            cols.kind, cols.counter, cols.addr, cols.call_site
+        )
+        order = _np.argsort(cols.tid, kind="stable")
+        tids = cols.tid[order]
+        heads = [0, *(_np.flatnonzero(tids[1:] != tids[:-1]) + 1).tolist()]
+        if len(heads) > 1:
+            kind, counter, addr = kind[order], counter[order], addr[order]
+            if call_site is not None:
+                call_site = call_site[order]
+        ends = heads[1:] + [len(order)]
+        for j in _np.argsort(order[heads]).tolist():
+            lo, hi = heads[j], ends[j]
+            per_thread.setdefault(int(tids[lo]), []).append((
+                kind[lo:hi], counter[lo:hi], addr[lo:hi],
+                None if call_site is None else call_site[lo:hi],
+            ))
 
     @staticmethod
     def _concat_segment_arrays(segments):

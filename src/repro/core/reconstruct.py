@@ -8,9 +8,11 @@ structure-of-arrays result type it produces:
   return matches the frame that the nesting structure says it should),
   the whole reconstruction is a handful of numpy passes: depth is a ±1
   cumulative sum over the event kinds, the k-th return at each depth
-  level pairs with the k-th call at that level (a stable argsort by
-  ``(depth, position)`` on both sides), parents come from a
-  ``searchsorted`` against the enclosing level's call positions, and
+  level pairs with the k-th call at that level (a stable radix
+  argsort of narrow depth keys on both sides, which keeps log order
+  inside a level), each level is one slice of that call order,
+  parents come from a ``searchsorted`` of each level against the one
+  above, the close order is the pairing inverted, and
   inclusive/exclusive ticks are per-call subtractions plus one
   scatter-add of child inclusives onto parents.  No per-entry Python
   at all.  A shard whose pairing shows an anomaly — a return that
@@ -291,37 +293,40 @@ def reconstruct_vector(tid, kinds, counters, addrs, call_sites, offset,
     ret_pos = _np.nonzero(~is_call)[0]
     n_calls = len(call_pos)
     addrs = _np.asarray(addrs)
+    call_addr = addrs[call_pos]
     call_depth = depth_after[call_pos] - 1  # enclosing frames per call
     ret_depth = depth_after[ret_pos]  # level each return closes down to
+    # Level d holds bounds[d]:bounds[d + 1] of the depth-sorted calls.
+    bounds = _np.concatenate(([0], _np.cumsum(_np.bincount(call_depth))))
+    max_depth = len(bounds) - 2
     # Pair the k-th return to the k-th call within each depth level:
-    # stable argsort groups by depth and keeps log order inside a
+    # a stable argsort groups by depth and keeps log order inside a
     # level, and a balanced non-negative kind sequence guarantees the
-    # blocks align one-to-one.
-    order_c = _np.argsort(call_depth, kind="stable")
-    order_r = _np.argsort(ret_depth, kind="stable")
-    if not _np.array_equal(
-        addrs[call_pos[order_c]], addrs[ret_pos[order_r]]
-    ):
+    # blocks align one-to-one.  Keys in the narrowest unsigned type
+    # that holds the deepest level sort by radix up to 16 bits.
+    key_type = _np.min_scalar_type(max_depth)
+    order_c = _np.argsort(call_depth.astype(key_type), kind="stable")
+    order_r = _np.argsort(ret_depth.astype(key_type), kind="stable")
+    if not _np.array_equal(call_addr[order_c], addrs[ret_pos[order_r]]):
         return None  # a return would close a different frame
-    ret_of_call = _np.empty(n_calls, dtype=_np.int64)
-    ret_of_call[order_c] = ret_pos[order_r]
+    # Records appear in close order.  The return at slot j of its sort
+    # closes the call at slot j of the other, so scattering the call
+    # sort through the return sort lists the calls by closing return.
+    order = _np.empty(n_calls, dtype=_np.intp)
+    order[order_r] = order_c
+    levels = [order_c[bounds[d]:bounds[d + 1]] for d in range(max_depth + 1)]
+    nested = order_c[bounds[1]:]  # every call below a root
 
     # Parents: for a call at depth d, the latest depth-(d-1) call
-    # before it (searchsorted over the enclosing level's positions).
-    call_index_of_pos = _np.empty(n, dtype=_np.int64)
-    call_index_of_pos[call_pos] = _np.arange(n_calls)
-    parent_idx = _np.full(n_calls, -1, dtype=_np.int64)
-    max_depth = int(call_depth.max()) if n_calls else 0
-    prev_positions = call_pos[call_depth == 0]
-    for d in range(1, max_depth + 1):
-        sel = _np.nonzero(call_depth == d)[0]
-        here = call_pos[sel]
-        slot = _np.searchsorted(prev_positions, here, side="right") - 1
-        parent_idx[sel] = call_index_of_pos[prev_positions[slot]]
-        prev_positions = here
+    # before it.  Call indices grow with log position, so a
+    # searchsorted of each level against the enclosing one finds it.
+    parent_idx = _np.full(n_calls, -1, dtype=_np.intp)
+    for prev, here in zip(levels, levels[1:]):
+        slot = _np.searchsorted(prev, here, side="right") - 1
+        parent_idx[here] = prev[slot]
 
     # Symbolisation: one resolve per unique address, fanned back out.
-    uniq_addrs, addr_inv = _np.unique(addrs[call_pos], return_inverse=True)
+    uniq_addrs, addr_inv = _np.unique(call_addr, return_inverse=True)
     name_id = {}
     methods = []
     addr_mid = _np.empty(len(uniq_addrs), dtype=_np.int64)
@@ -363,16 +368,15 @@ def reconstruct_vector(tid, kinds, counters, addrs, call_sites, offset,
     # the accumulation order is a stack walk's).
     counters = _np.asarray(counters).astype(_np.int64, copy=False)
     enter = counters[call_pos]
-    exit_ = counters[ret_of_call]
-    inclusive = _np.maximum(exit_ - enter, 0)
+    exit_ = counters[ret_pos]  # in close order
+    inclusive = _np.empty(n_calls, dtype=_np.int64)
+    inclusive[order] = _np.maximum(exit_ - enter[order], 0)
     child_sum = _np.zeros(n_calls, dtype=_np.int64)
-    nested = _np.nonzero(call_depth > 0)[0]
-    _np.add.at(child_sum, parent_idx[nested], inclusive[nested])
+    nested_parent = parent_idx[nested]
+    _np.add.at(child_sum, nested_parent, inclusive[nested])
     exclusive = _np.maximum(inclusive - child_sum, 0)
-    caller_id = _np.where(
-        call_depth > 0, addr_mid[addr_inv[_np.maximum(parent_idx, 0)]],
-        _np.int64(-1),
-    )
+    caller_id = _np.full(n_calls, -1, dtype=_np.int64)
+    caller_id[nested] = mid_arr[nested_parent]
 
     # Path interning, one level at a time: a node is (parent path,
     # method); np.unique over a combined integer key dedupes a whole
@@ -380,22 +384,15 @@ def reconstruct_vector(tid, kinds, counters, addrs, call_sites, offset,
     path_id = _np.empty(n_calls, dtype=_np.int64)
     paths = []
     width = len(methods) + 1
-    for d in range(0, max_depth + 1):
-        sel = _np.nonzero(call_depth == d)[0]
+    for d, sel in enumerate(levels):
+        key = mid_arr[sel]
         if d:
-            parent_pid = path_id[parent_idx[sel]]
-        else:
-            parent_pid = _np.full(len(sel), -1, dtype=_np.int64)
-        key = (parent_pid + 1) * width + mid_arr[sel]
+            key = key + (path_id[parent_idx[sel]] + 1) * width
         uniq_key, key_inv = _np.unique(key, return_inverse=True)
-        base = len(paths)
-        for k in uniq_key.tolist():
-            paths.append((int(k // width) - 1, int(k % width)))
-        path_id[sel] = base + key_inv
+        path_id[sel] = len(paths) + key_inv
+        paths.extend(zip((uniq_key // width - 1).tolist(),
+                         (uniq_key % width).tolist()))
 
-    # Records appear in close order, so the k-th record is closed by
-    # the k-th return.
-    order = _np.argsort(ret_of_call, kind="stable")
     if synthetic is None:
         truncated = _np.zeros(n_calls, dtype=bool)
     else:
@@ -404,10 +401,10 @@ def reconstruct_vector(tid, kinds, counters, addrs, call_sites, offset,
         method_id=mid_arr[order],
         tid=_np.full(n_calls, tid, dtype=_np.uint64),
         enter=enter[order],
-        exit=exit_[order],
+        exit=exit_,
         inclusive=inclusive[order],
         exclusive=exclusive[order],
-        depth=call_depth[order],
+        depth=ret_depth,  # a closed call's depth, in close order
         caller_id=caller_id[order],
         path_id=path_id[order],
         truncated=truncated,

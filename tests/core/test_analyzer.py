@@ -1,5 +1,6 @@
 """Unit tests for the analyzer (stage 3) on hand-built logs."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -84,6 +85,35 @@ def test_threads_analyzed_independently(image):
     assert analysis.method("main").inclusive == 50
     assert analysis.method("work").inclusive == 80
     assert analysis.method("main").threads == {1}
+
+
+def test_chunks_group_rows_per_thread(image):
+    """A one-thread chunk hands the shard views of the chunk's own
+    columns; a mixed chunk gives each thread its rows in log order,
+    threads in first-appearance order."""
+    analyzer = Analyzer(image)
+    one = make_log(image, [(KIND_CALL, "main", 0, 9), (KIND_RET, "main", 5, 9)])
+    cols = next(one.iter_column_chunks(8))
+    per_thread = {}
+    analyzer._shard_columns(cols, per_thread)
+    (segment,) = per_thread[9]
+    for got, column in zip(segment, (cols.kind, cols.counter, cols.addr)):
+        assert np.shares_memory(got, column)
+        assert got.tolist() == column.tolist()
+    assert segment[3] is None  # a v1 log has no call sites
+
+    mixed = make_log(image, [
+        (KIND_CALL, "main", 0, 7),
+        (KIND_CALL, "work", 1, 3),
+        (KIND_CALL, "leaf", 2, 7),
+        (KIND_RET, "work", 3, 3),
+        (KIND_RET, "leaf", 4, 7),
+    ])
+    per_thread = {}
+    analyzer._shard_columns(next(mixed.iter_column_chunks(8)), per_thread)
+    assert list(per_thread) == [7, 3]
+    assert [seg[1].tolist() for seg in per_thread[7]] == [[0, 2, 4]]
+    assert [seg[1].tolist() for seg in per_thread[3]] == [[1, 3]]
 
 
 def test_recursion_matches_innermost_first(image):

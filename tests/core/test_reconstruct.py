@@ -13,6 +13,7 @@ import json
 from dataclasses import replace
 from itertools import chain, zip_longest
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,7 +30,8 @@ from repro.core import (
 )
 from repro.core.reconstruct import run_shard
 from repro.monitor import MetricRegistry, PipelineSampler
-from tests.oracles.batch import analyze_batch
+from repro.symbols import CachedResolver
+from tests.oracles.batch import analyze_batch, method_table, reconstruct_python
 from tests.oracles.per_event import append
 
 FUNCTIONS = ("main", "work", "leaf", "spin", "idle")
@@ -112,6 +114,25 @@ def test_vector_matches_oracle_on_anomalous_shards(ops):
     assert_identical(img, events)
 
 
+@settings(deadline=None, max_examples=120)
+@given(event_soup)
+def test_method_table_matches_the_per_record_oracle(ops):
+    """The columnar method table equals one built record by record
+    from the batch oracle's records: calls, inclusive, exclusive,
+    min, max, thread sets and order."""
+    from repro.symbols import BinaryImage
+
+    img = BinaryImage("app")
+    for name in FUNCTIONS:
+        img.add_function(name, size=64)
+    log = build_log(img, [
+        (kind, fn, 10 * i, tid) for i, (kind, fn, tid) in enumerate(ops)
+    ])
+    analyzer = Analyzer(img)
+    expected = method_table(analyze_batch(analyzer, log).records)
+    assert analyzer.analyze(log).methods() == expected
+
+
 # Guided walks: mostly clean nesting so the kernel takes shards as
 # they come (not just balanced ones), with occasional injected
 # anomalies.
@@ -168,6 +189,53 @@ def test_clean_shards_take_the_vector_path(image):
     assert vector.pipeline.shards_analyzed == 1
     assert vector.pipeline.shards_vectorised == 1
     assert vector.pipeline.shards_fallback == 0
+
+
+def test_a_shard_deeper_than_16_bits_matches_the_oracle(image):
+    """65,537 nested calls: depth 65,536 is the first level whose
+    pairing key needs 32 bits.  Path tuples of a chain this deep hold
+    n(n+1)/2 names, so paths are checked through the path table: each
+    record's node is (its caller's node, its method)."""
+    depth = 1 << 16
+    fns = [
+        image.symtab.by_name(FUNCTIONS[i % len(FUNCTIONS)]).addr
+        for i in range(depth + 1)
+    ]
+    kinds = np.repeat(np.array([KIND_CALL, KIND_RET], dtype=np.uint64),
+                      depth + 1)
+    addrs = np.array(fns + fns[::-1], dtype=np.uint64)
+    counters = np.cumsum(np.arange(len(kinds), dtype=np.uint64) % 7 + 1)
+    outcome = run_shard(
+        5, kinds, counters, addrs, None, 0, CachedResolver(image.symtab)
+    )
+    assert not outcome.balanced
+    cols = outcome.columns
+    assert int(cols.depth.max()) == depth
+    records, unmatched, mismatches = reconstruct_python(
+        5, kinds.tolist(), counters.tolist(), addrs.tolist(), None, 0,
+        CachedResolver(image.symtab), paths=False,
+    )
+    assert (unmatched, mismatches) == (0, outcome.mismatches)
+    methods = cols.methods
+    assert list(zip(
+        [methods[m] for m in cols.method_id.tolist()],
+        cols.tid.tolist(), cols.enter.tolist(), cols.exit.tolist(),
+        cols.inclusive.tolist(), cols.exclusive.tolist(),
+        cols.depth.tolist(),
+        [methods[c] if c >= 0 else None for c in cols.caller_id.tolist()],
+        cols.truncated.tolist(),
+    )) == [
+        (r.method, r.tid, r.enter, r.exit, r.inclusive, r.exclusive,
+         r.depth, r.caller, r.truncated)
+        for r in records
+    ]
+    # Records close innermost first, so record k's caller is record
+    # k + 1 and the outermost call is a root.
+    pids = cols.path_id.tolist()
+    parents = pids[1:] + [-1]
+    assert [cols.paths[p] for p in pids] == list(
+        zip(parents, cols.method_id.tolist())
+    )
 
 
 def test_anomalous_shards_fall_back(image):

@@ -46,6 +46,33 @@ def make_log(image, events, capacity=4096, version=None):
     return log
 
 
+def out_of_order_threads():
+    """10,000 entries of nested calls on three threads whose ids first
+    appear out of numeric order: 0x30, then 0x10, then 0x20 only after
+    the first 8,192 entries.  Threads take turns in blocks of 1 to 21
+    entries, so a chunk of any size holds a changing mix of them."""
+    tree = [
+        (KIND_CALL, "main"), (KIND_CALL, "work"), (KIND_CALL, "leaf"),
+        (KIND_RET, "leaf"), (KIND_RET, "work"), (KIND_CALL, "spin"),
+        (KIND_RET, "spin"), (KIND_RET, "main"),
+    ]
+    sizes = (1, 3, 8, 13, 2, 21)
+    done = {0x30: 0, 0x10: 0, 0x20: 0}
+    turns = [0x30, 0x10]
+    events = []
+    block = 0
+    while len(events) < 10_000:
+        if len(events) > 8_192 and len(turns) == 2:
+            turns.append(0x20)
+        tid = turns[block % len(turns)]
+        for _ in range(sizes[block % len(sizes)]):
+            kind, name = tree[done[tid] % len(tree)]
+            done[tid] += 1
+            events.append((kind, name, len(events) * 3 + tid % 7, tid))
+        block += 1
+    return events[:10_000]
+
+
 def fixture_logs(image):
     """Every analyzer-relevant log shape the existing tests exercise."""
     nested = [
@@ -127,6 +154,9 @@ def fixture_logs(image):
     logs["overflowed-v1"] = make_log(image, nested, capacity=4)
     # An empty log.
     logs["empty-v1"] = SharedLog.create(8, profiler_addr=image.profiler_addr)
+    logs["out-of-order-tids-v1"] = make_log(
+        image, out_of_order_threads(), capacity=10_000
+    )
     return logs
 
 
@@ -135,6 +165,7 @@ def assert_equivalent(batch, streamed):
     assert streamed.records == batch.records
     assert streamed.unmatched_returns == batch.unmatched_returns
     assert streamed.meta == batch.meta
+    assert streamed.threads() == batch.threads()
     batch_json = json.loads(to_json(batch))
     stream_json = json.loads(to_json(streamed))
     # The pipeline block legitimately differs (jobs, chunk counts).
@@ -144,7 +175,7 @@ def assert_equivalent(batch, streamed):
 
 
 @pytest.mark.parametrize("jobs", [1, 4])
-@pytest.mark.parametrize("chunk_size", [1, 3, None])
+@pytest.mark.parametrize("chunk_size", [1, 3, 7, None])
 def test_streaming_matches_batch_on_all_fixtures(image, jobs, chunk_size):
     for name, log in fixture_logs(image).items():
         analyzer = Analyzer(image)

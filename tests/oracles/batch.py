@@ -7,6 +7,8 @@ grouped per thread in first-appearance order, and each thread's stack
 rebuilt by :func:`reconstruct_python`, an entry-at-a-time loop over an
 explicit stack of open frames, on a single worker.  No column chunks,
 no sharding pool, no vector kernel and no balance pass.
+:func:`method_table` aggregates records into the per-method table one
+record at a time, the reference for the columnar aggregation.
 
 The streaming :meth:`~repro.core.analyzer.Analyzer.analyze` must match
 it byte for byte on every log, chunk size and ``jobs`` value.
@@ -14,7 +16,7 @@ it byte for byte on every log, chunk size and ``jobs`` value.
 
 import numpy as np
 
-from repro.core.analyzer import Analysis
+from repro.core.analyzer import Analysis, MethodStats
 from repro.core.log import KIND_CALL
 from repro.core.reconstruct import CallRecord, RecordColumns, resolve_name
 from repro.core.stats import PipelineStats
@@ -40,7 +42,7 @@ class _OpenFrame:
 
 
 def reconstruct_python(tid, kinds, counters, addrs, call_sites, offset,
-                       cache):
+                       cache, paths=True):
     """One thread's records, rebuilt an entry at a time.
 
     The paper's robustness rules as a stack walk: frames left open at
@@ -49,7 +51,9 @@ def reconstruct_python(tid, kinds, counters, addrs, call_sites, offset,
     truncated, and a return that matches no open frame is dismissed.
     Returns ``(records, unmatched, callsite_mismatches)``; records
     come in close order and records sharing a call path share one
-    path tuple.
+    path tuple.  ``paths=False`` leaves every record's path ``None``:
+    a chain of n nested calls has path tuples of n(n+1)/2 names in
+    all, too many to build for a very deep shard.
     """
     stack = []
     records = []
@@ -91,9 +95,11 @@ def reconstruct_python(tid, kinds, counters, addrs, call_sites, offset,
                 if expected != stack[-1].method:
                     mismatches += 1
             method = resolve_name(cache, addr, offset)
-            parent_path = stack[-1].path if stack else ()
-            path = parent_path + (method,)
-            path = interned.setdefault(path, path)
+            path = None
+            if paths:
+                parent_path = stack[-1].path if stack else ()
+                path = parent_path + (method,)
+                path = interned.setdefault(path, path)
             stack.append(_OpenFrame(addr, method, counter, path))
             continue
         # A return: match against the open stack.
@@ -108,6 +114,26 @@ def reconstruct_python(tid, kinds, counters, addrs, call_sites, offset,
     while stack:
         close(stack.pop(), last_counter, truncated=True)
     return records, unmatched, mismatches
+
+
+def method_table(records):
+    """The per-method table of `records`, aggregated one record at a
+    time: hottest exclusive time first, ties in first-appearance
+    order, as :meth:`~repro.core.analyzer.Analysis.methods` orders
+    it."""
+    table = {}
+    for record in records:
+        stats = table.get(record.method)
+        if stats is None:
+            stats = table[record.method] = MethodStats(record.method)
+            stats.min_inclusive = stats.max_inclusive = record.inclusive
+        stats.calls += 1
+        stats.inclusive += record.inclusive
+        stats.exclusive += record.exclusive
+        stats.min_inclusive = min(stats.min_inclusive, record.inclusive)
+        stats.max_inclusive = max(stats.max_inclusive, record.inclusive)
+        stats.threads.add(record.tid)
+    return sorted(table.values(), key=lambda s: s.exclusive, reverse=True)
 
 
 def columns_from_records(records):
