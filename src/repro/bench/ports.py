@@ -500,8 +500,8 @@ def _query_state(windows, paths):
     """Shared setup for the query benches: synthetic windows, the
     store under test, and the dict-oracle identity check (the frozen
     baseline must produce the *identical* merged profile — byte
-    identity of the folded output, asserted before anything is
-    timed)."""
+    identity of the folded output, and of the memoised text the HTTP
+    route serves, asserted before anything is timed)."""
     window_data = _fleet.build_query_windows(
         windows=windows, paths=paths
     )
@@ -513,6 +513,7 @@ def _query_state(windows, paths):
         merged.flamegraph().to_folded()
         == oracle.profile().flamegraph().to_folded()
     )
+    assert merged.to_folded() == oracle.profile().to_folded()
     assert oracle.salvaged + oracle.quarantined == oracle.entries
     return {
         "store": store,

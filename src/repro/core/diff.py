@@ -159,13 +159,20 @@ class AnalysisDiff:
     # ------------------------------------------------------------------
 
     def flamegraph(self, title="differential flame graph"):
-        """The *after* flame graph coloured by share change."""
-        before_graph = FlameGraph.from_analysis(self.before)
+        """The *after* flame graph coloured by share change (every
+        frame is new when the *before* profile has no time at all)."""
         after_graph = FlameGraph.from_analysis(self.after, title=title)
-        before_incl = _inclusive_shares(before_graph)
+        before_incl = {}
+        if self.before.total_exclusive() > 0:
+            before_incl = _inclusive_shares(
+                FlameGraph.from_analysis(self.before)
+            )
         after_incl = _inclusive_shares(after_graph)
+        root = after_graph.root
 
         def palette(node):
+            if node is root:
+                return "rgb(212,212,212)"  # the whole run: unchanged
             before = before_incl.get(node.name)
             if before is None:
                 return "rgb(230,60,60)"  # new code: strong red
@@ -186,7 +193,7 @@ def _inclusive_shares(graph):
     """Summed inclusive share per frame name across the whole graph
     (the graph memoises the underlying totals, so the walk happens at
     most once per graph)."""
-    total = graph.root.total or 1
+    total = graph.total_ticks()
     return {
         name: value / total
         for name, value in graph.inclusive_totals().items()

@@ -8,6 +8,13 @@ SVG with the familiar layout: one rectangle per call-path node, width
 proportional to time, warm deterministic colours, and a tooltip with
 the exact numbers.  The paper implements this output in 15 LoC on top
 of the analyzer; ours is bigger only because it writes the SVG itself.
+
+A flame graph *is* a path table: ``(parent, method)`` nodes, parents
+before children, the method names, and each path's exclusive ticks —
+the shape the analyzer's columns and the fleet's interned tables
+already hold.  Folded text renders straight from the table; the node
+tree is built on first use, and only layout needs it (the SVG,
+:meth:`FlameGraph.frames` and the inclusive shares).
 """
 
 import html
@@ -17,23 +24,34 @@ import numpy as _np
 
 
 class FlameGraph:
-    """A renderable flame graph built from folded stacks."""
+    """A renderable flame graph over one call-path table."""
 
     def __init__(self, folded, title="TEE-Perf Flame Graph"):
-        if not folded:
-            raise ValueError("empty profile: nothing to draw")
-        self.title = title
-        self.palette = None  # optional node -> css colour override
-        self._inclusive = None
-        self.root = _Node("all")
-        for path, ticks in sorted(folded.items()):
-            if ticks <= 0:
+        """Intern a ``{path tuple: ticks}`` dict: every prefix of each
+        path becomes a node, parents first; ticks ``<= 0`` are
+        skipped."""
+        methods, method_ids = [], {}
+        paths, path_ids = [], {}
+        ticks = []
+        for path, value in folded.items():
+            if value <= 0:
                 continue
-            node = self.root
+            if not path:
+                raise ValueError("cannot draw an empty call path")
+            pid = -1
             for name in path:
-                node = node.child(name)
-            node.self_ticks += ticks
-        self.root.finalise()
+                node = path_ids.get((pid, name))
+                if node is None:
+                    mid = method_ids.get(name)
+                    if mid is None:
+                        mid = method_ids[name] = len(methods)
+                        methods.append(name)
+                    node = path_ids[(pid, name)] = len(paths)
+                    paths.append((pid, mid))
+                    ticks.append(0)
+                pid = node
+            ticks[pid] += value
+        self._adopt(paths, methods, ticks, title)
 
     @classmethod
     def from_analysis(cls, analysis, title="TEE-Perf Flame Graph"):
@@ -45,49 +63,73 @@ class FlameGraph:
     @classmethod
     def from_path_table(cls, paths, methods, ticks,
                         title="TEE-Perf Flame Graph"):
-        """Build the node tree straight from an interned path table.
+        """A graph over an interned path table, taken as it is.
 
         ``paths`` is the ``(parent_path_id, method_id)`` node list
-        (parents preceding children, ``-1`` the root), ``methods`` the
-        method-name table, and ``ticks`` the per-path-id exclusive
-        totals.  The path table *is* the tree, so each unique call
-        path becomes one node in a single sweep — no path tuples, no
-        re-sorting of folded keys (node children render sorted either
-        way).  Paths with no positive ticks prune away, matching the
-        folded-dict construction exactly.
+        (parents preceding children, ``-1`` the root, no two children
+        of one parent named alike), ``methods`` the method-name table,
+        and ``ticks`` the per-path-id exclusive totals.  Paths with no
+        positive ticks draw nothing, matching the folded-dict
+        construction exactly.
         """
         self = cls.__new__(cls)
-        self.title = title
-        self.palette = None
-        self._inclusive = None
-        self.root = root = _Node("all")
-        nodes = []
-        for parent, mid in paths:
-            parent_node = nodes[parent] if parent >= 0 else root
-            nodes.append(parent_node.child(methods[mid]))
-        values = ticks.tolist() if hasattr(ticks, "tolist") else ticks
-        for pid, t in enumerate(values):
-            if t > 0:
-                nodes[pid].self_ticks += t
-        root.finalise()
-        _prune_empty(root)
+        self._adopt(paths, methods, ticks, title)
         return self
 
     @classmethod
     def _from_columns(cls, cols, title):
-        """Columnar analysis -> tree: one scatter-add of per-record
-        exclusive ticks onto the path table, then the shared sweep."""
+        """Columnar analysis -> graph: one scatter-add of per-record
+        exclusive ticks onto the path table."""
         mask = cols.exclusive > 0
-        if not mask.any():
-            raise ValueError("empty profile: nothing to draw")
         sums = _np.zeros(len(cols.paths), dtype=_np.int64)
         _np.add.at(sums, cols.path_id[mask], cols.exclusive[mask])
         return cls.from_path_table(cols.paths, cols.methods, sums, title)
 
+    def _adopt(self, paths, methods, ticks, title):
+        ticks = ticks.tolist() if hasattr(ticks, "tolist") else ticks
+        total = sum(t for t in ticks if t > 0)
+        if not total:
+            raise ValueError("empty profile: nothing to draw")
+        self.title = title
+        self.palette = None  # optional node -> css colour override
+        self._paths = paths
+        self._methods = methods
+        self._ticks = ticks
+        self._total = total
+        self._root = None
+        self._inclusive = None
+
     # ------------------------------------------------------------------
 
+    @property
+    def root(self):
+        """The node tree under the synthetic root ``all``, built from
+        the table on first use: one backward pass sums each path's
+        subtree ticks onto its parent (parents precede children), and
+        one forward pass makes a node of every path with time in it."""
+        root = self._root
+        if root is None:
+            paths, methods = self._paths, self._methods
+            own = [t if t > 0 else 0 for t in self._ticks]
+            totals = own[:]
+            for pid in range(len(totals) - 1, -1, -1):
+                parent = paths[pid][0]
+                if parent >= 0:
+                    totals[parent] += totals[pid]
+            root = _Node("all", 0, self._total)
+            nodes = []
+            for (parent, mid), self_ticks, total in zip(paths, own, totals):
+                node = None
+                if total > 0:
+                    node = _Node(methods[mid], self_ticks, total)
+                    above = nodes[parent] if parent >= 0 else root
+                    above.children[node.name] = node
+                nodes.append(node)
+            self._root = root
+        return root
+
     def total_ticks(self):
-        return self.root.total
+        return self._total
 
     def frames(self):
         """Iterate (depth, start, node) over the laid-out graph."""
@@ -97,23 +139,34 @@ class FlameGraph:
         """Summed inclusive ticks per frame name across the whole
         graph, memoised — the tree is immutable once built, so one
         walk serves every ``share()`` call and the differential
-        palette."""
+        palette.  The synthetic root is no frame."""
         if self._inclusive is None:
+            root = self.root
             totals = {}
             for _, _, node in self.frames():
-                totals[node.name] = totals.get(node.name, 0) + node.total
+                if node is not root:
+                    name = node.name
+                    totals[name] = totals.get(name, 0) + node.total
             self._inclusive = totals
         return self._inclusive
 
     def share(self, name):
         """Fraction of total time in frames called `name` (summed)."""
-        return self.inclusive_totals().get(name, 0) / self.root.total
+        return self.inclusive_totals().get(name, 0) / self._total
 
     def to_folded(self):
-        """The canonical folded-stacks text format."""
-        lines = []
-        self.root.fold([], lines)
-        return "\n".join(lines) + "\n"
+        """The canonical folded-stacks text: one ``a;b;c ticks`` line
+        per path with positive ticks, ordered by name tuple (a prefix
+        before its extensions)."""
+        methods = self._methods
+        names = []
+        for parent, mid in self._paths:
+            leaf = (methods[mid],)
+            names.append(names[parent] + leaf if parent >= 0 else leaf)
+        rows = sorted(
+            (names[pid], t) for pid, t in enumerate(self._ticks) if t > 0
+        )
+        return "".join(";".join(path) + f" {t}\n" for path, t in rows)
 
     def write_folded(self, path):
         with open(path, "w") as fh:
@@ -123,9 +176,10 @@ class FlameGraph:
 
     def to_svg(self, width=1200, frame_height=17, min_width_px=0.3):
         """A standalone SVG rendering of the graph."""
-        depth = self.root.depth()
+        root = self.root
+        depth = root.depth()
         height = (depth + 1) * frame_height + 60
-        scale = (width - 20) / self.root.total
+        scale = (width - 20) / root.total
         parts = [
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
             f'height="{height}" font-family="monospace" font-size="12">',
@@ -142,7 +196,7 @@ class FlameGraph:
             color = (
                 self.palette(node) if self.palette else _color(node.name)
             )
-            pct = 100 * node.total / self.root.total
+            pct = 100 * node.total / root.total
             label = node.name if w > 8 * len(node.name) * 0.65 else (
                 node.name[: max(0, int(w / 7) - 2)] + ".." if w > 30 else ""
             )
@@ -168,23 +222,11 @@ class FlameGraph:
 class _Node:
     __slots__ = ("name", "self_ticks", "total", "children")
 
-    def __init__(self, name):
+    def __init__(self, name, self_ticks, total):
         self.name = name
-        self.self_ticks = 0
-        self.total = 0
+        self.self_ticks = self_ticks
+        self.total = total
         self.children = {}
-
-    def child(self, name):
-        node = self.children.get(name)
-        if node is None:
-            node = self.children[name] = _Node(name)
-        return node
-
-    def finalise(self):
-        self.total = self.self_ticks + sum(
-            child.finalise() for child in self.children.values()
-        )
-        return self.total
 
     def depth(self):
         if not self.children:
@@ -198,25 +240,6 @@ class _Node:
             child = self.children[name]
             yield from child.walk(level + 1, offset)
             offset += child.total
-
-    def fold(self, prefix, lines):
-        path = prefix + [self.name] if prefix or self.name != "all" else []
-        if self.self_ticks and path:
-            lines.append(";".join(path) + f" {self.self_ticks}")
-        for name in sorted(self.children):
-            self.children[name].fold(path, lines)
-
-
-def _prune_empty(node):
-    """Drop zero-total subtrees (paths whose every invocation had no
-    exclusive time), matching the folded-dict construction exactly."""
-    node.children = {
-        name: child
-        for name, child in node.children.items()
-        if child.total > 0
-    }
-    for child in node.children.values():
-        _prune_empty(child)
 
 
 def _color(name):

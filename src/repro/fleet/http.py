@@ -23,7 +23,10 @@ working, and the daemon's windows become addressable:
 
 Errors are JSON all the way down: an unknown tenant or window is a
 404 body naming what *does* exist, a diff without ``a``/``b`` is a
-400 — never a stdlib HTML error page.
+400 — never a stdlib HTML error page.  A profile with no positive tick
+(say, a tenant whose every segment was quarantined) has empty folded
+text and nothing to draw: ``/folded`` answers 200 with an empty body,
+and the SVG routes a 404 naming the tenant.
 
 The query path never blocks ingest of other tenants: every profile
 route takes an immutable :class:`~repro.fleet.windows.ArrayProfile`
@@ -31,6 +34,8 @@ snapshot under the *tenant's own* lock (the store's locking is per
 tenant) and renders outside it, and the merged profile is served from
 the tenant's incremental cache, so a repeat query between ingests is
 a cache hit rather than a re-merge of all retained windows.
+``/folded`` serves the snapshot's memoised text, so on that hit it
+renders nothing either.
 """
 
 from repro.monitor.http import MonitorServer, _Handler
@@ -109,16 +114,26 @@ class _FleetHandler(_Handler):
         summary["sessions"] = daemon.accounting(tenant)
         self.send_json(summary)
 
+    def _nothing_to_draw(self, tenant):
+        self.send_json_error(
+            404,
+            f"tenant {tenant!r} has nothing to draw: "
+            "no call path has a positive tick",
+        )
+
     def _folded(self, daemon, tenant, query):
         profile = self._profile(daemon, tenant, query)
         if profile is None:
             return
-        body = profile.flamegraph().to_folded().encode()
+        body = profile.to_folded().encode()
         self._reply(body, "text/plain; charset=utf-8")
 
     def _flamegraph(self, daemon, tenant, query):
         profile = self._profile(daemon, tenant, query)
         if profile is None:
+            return
+        if profile.total_exclusive() <= 0:
+            self._nothing_to_draw(tenant)
             return
         title = f"{tenant} — fleet merged profile"
         window = query.get("window")
@@ -149,6 +164,9 @@ class _FleetHandler(_Handler):
                 "text/plain; charset=utf-8",
             )
         elif fmt == "svg":
+            if diff.after.total_exclusive() <= 0:
+                self._nothing_to_draw(tenant)
+                return
             svg = diff.flamegraph(
                 title=f"{tenant}: window {a} vs {b}"
             ).to_svg()

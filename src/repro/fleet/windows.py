@@ -47,7 +47,9 @@ adapter: it exposes the ``methods()`` / ``total_exclusive()`` /
 which is exactly what :class:`~repro.core.diff.AnalysisDiff` and
 :meth:`~repro.core.flamegraph.FlameGraph.from_analysis` consume — so
 window-vs-window regression diffs and merged flame graphs reuse the
-core machinery unchanged.
+core machinery unchanged.  A snapshot renders its folded text at
+most once; the merged cache hands out the same snapshot until the
+next ingest, so a repeated folded query renders nothing.
 """
 
 import threading
@@ -517,7 +519,10 @@ class FoldedProfile:
     Quacks like the analyzer's result object for every consumer the
     fleet surface needs: ``methods()``, ``total_exclusive()``,
     ``folded()`` (and ``columns is None`` so
-    :meth:`FlameGraph.from_analysis` takes the folded path).
+    :meth:`FlameGraph.from_analysis` takes the folded path).  A
+    profile never changes, so :meth:`to_folded` renders its text at
+    most once.  The memo takes no lock: threads racing on a first
+    render each render the same text, and either copy may be kept.
     """
 
     columns = None
@@ -526,9 +531,21 @@ class FoldedProfile:
         self._folded = dict(folded)
         self._method_calls = dict(method_calls or {})
         self.title = title
+        self._folded_text = None
 
     def folded(self):
         return dict(self._folded)
+
+    def to_folded(self):
+        """The folded-stacks text, rendered once (``""`` when the
+        profile has no time in it)."""
+        text = self._folded_text
+        if text is None:
+            text = ""
+            if self.total_exclusive() > 0:
+                text = self.flamegraph().to_folded()
+            self._folded_text = text
+        return text
 
     def total_exclusive(self):
         return sum(self._folded.values())
@@ -577,12 +594,14 @@ class ArrayProfile(FoldedProfile):
     :class:`PathTable`.
 
     Same duck type as :class:`FoldedProfile`, but the hot consumers
-    skip path tuples entirely: :meth:`flamegraph` builds its node tree
-    straight from the interned table
-    (:meth:`FlameGraph.from_path_table`), :meth:`methods` is one
+    skip path tuples entirely: :meth:`flamegraph` is a graph over the
+    interned table itself (:meth:`FlameGraph.from_path_table`), so the
+    folded text renders straight from it, :meth:`methods` is one
     leaf-id scatter-add, and two snapshots of the same tenant diff
     over aligned method arrays.  ``folded()`` still materialises the
-    oracle-identical dict on demand.
+    oracle-identical dict on demand.  The table is append-only and a
+    snapshot reads only its first ``n`` paths, so its memoised folded
+    text needs no lock and never sees later ingest.
     """
 
     columns = None
@@ -598,6 +617,7 @@ class ArrayProfile(FoldedProfile):
         self.title = title
         self._folded_memo = None
         self._rows = None
+        self._folded_text = None
 
     def folded(self):
         if self._folded_memo is None:
@@ -651,8 +671,6 @@ class ArrayProfile(FoldedProfile):
         ]
 
     def flamegraph(self, title=None):
-        if not self._present.any():
-            raise ValueError("empty profile: nothing to draw")
         return FlameGraph.from_path_table(
             self._table.paths[: self._n_paths], self._table.methods,
             self._ticks, title=title or self.title,

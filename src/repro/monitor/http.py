@@ -16,7 +16,10 @@ Service-duty hardening (the fleet daemon fronts its query surface
 with this server, so it has to behave like one):
 
 * unknown paths get a *JSON* error body naming the routes, not the
-  stdlib's HTML error page;
+  stdlib's HTML error page, and a route that raises before it has
+  replied answers a JSON 500 naming the exception type (the traceback
+  goes to the ``repro.monitor`` logger) instead of a dropped
+  connection;
 * request threads are bounded (``max_threads``) — a scrape storm
   queues in the listen backlog instead of spawning unbounded threads;
 * :meth:`MonitorServer.stop` is safe while requests are in flight:
@@ -28,6 +31,7 @@ subclassing :class:`_Handler` and overriding :meth:`_Handler.route`.
 """
 
 import json
+import logging
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qsl
@@ -36,6 +40,8 @@ EXPOSITION_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 #: Concurrent request threads a server runs at most, by default.
 DEFAULT_MAX_THREADS = 8
+
+_LOG = logging.getLogger("repro.monitor")
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -49,9 +55,19 @@ class _Handler(BaseHTTPRequestHandler):
     def do_GET(self):  # noqa: N802 — BaseHTTPRequestHandler's casing
         path, _, rawquery = self.path.partition("?")
         query = dict(parse_qsl(rawquery))
+        self._replied = False
         try:
             handled = self.route(path, query)
         except BrokenPipeError:  # client went away mid-reply
+            return
+        except Exception as exc:
+            _LOG.exception("GET %s failed", path)
+            if not self._replied:
+                self.send_json_error(
+                    500,
+                    f"{type(exc).__name__} while serving {path!r}",
+                    exception=type(exc).__name__,
+                )
             return
         if not handled:
             self.send_json_error(
@@ -84,6 +100,7 @@ class _Handler(BaseHTTPRequestHandler):
         return True
 
     def _reply(self, body, content_type, status=200):
+        self._replied = True
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))

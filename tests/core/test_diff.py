@@ -99,3 +99,17 @@ def test_shares_are_length_invariant(before):
     )
     diff = AnalysisDiff(before, double)
     assert all(abs(d.delta) < 0.02 for d in diff.deltas())
+
+
+def test_differential_root_is_grey_and_an_empty_before_is_all_new(after):
+    """The synthetic root keeps the unchanged grey, whatever the
+    frames are called; against a profile with no time at all, every
+    frame of the after graph is new code."""
+    graph = AnalysisDiff(build_analysis([]), after).flamegraph()
+    colors = {
+        node.name: graph.palette(node) for _, _, node in graph.frames()
+    }
+    assert colors.pop("all") == "rgb(212,212,212)"
+    assert set(colors) == {"main", "io"}
+    assert set(colors.values()) == {"rgb(230,60,60)"}
+    assert graph.to_svg().startswith("<svg")

@@ -1,6 +1,7 @@
 """The fleet query surface: profiles, diffs, JSON errors."""
 
 import json
+import logging
 import urllib.error
 import urllib.request
 
@@ -163,4 +164,64 @@ def test_monitor_routes_still_served(served):
     assert ctype.startswith("text/plain")
     assert "teeperf_fleet_segments_analyzed_total 3" in body.decode()
     status, _, body = fetch(server, "/healthz")
+    assert (status, body) == (200, b"ok\n")
+
+
+# ----------------------------------------------------------------------
+# Profiles with nothing to draw, and routes that raise
+
+
+@pytest.mark.parametrize("folded, salvaged", [
+    ({}, 0),  # every entry quarantined: no path at all
+    ({("app::Idle()",): 0}, 2),  # one present path of 0 ticks
+], ids=["no-path", "zero-tick-path"])
+def test_profiles_with_no_positive_tick(served, folded, salvaged):
+    daemon, server = served
+    daemon.store.add(
+        "t", folded, {}, entries=10, salvaged=salvaged,
+        quarantined=10 - salvaged, ts=0.0,
+    )
+    for path in ("/profiles/t/folded", "/profiles/t/folded?window=0"):
+        status, ctype, body = fetch(server, path)
+        assert (status, body) == (200, b"")
+        assert ctype.startswith("text/plain")
+    for path in ("/profiles/t/flamegraph.svg",
+                 "/profiles/t/flamegraph.svg?window=0",
+                 "/profiles/t/diff?a=0&b=0&format=svg"):
+        payload = expect_error(server, path, 404)
+        assert "'t' has nothing to draw" in payload["error"]
+    # The JSON routes still answer.
+    _, summary = fetch_json(server, "/profiles/t")
+    assert summary["merged"]["ticks"] == 0
+    # Against an empty window, every frame of a later one is new.
+    daemon.store.add(
+        "t", {("app::Run()",): 7}, {"app::Run()": 1}, entries=2,
+        salvaged=2, ts=90.0,
+    )
+    status, ctype, body = fetch(
+        server, "/profiles/t/diff?a=0&b=1&format=svg"
+    )
+    assert (status, ctype) == (200, "image/svg+xml")
+    assert body.startswith(b"<svg") and b"app::Run()" in body
+    payload = expect_error(server, "/profiles/t/diff?a=1&b=0&format=svg",
+                           404)
+    assert "nothing to draw" in payload["error"]
+
+
+def test_a_route_that_raises_answers_json_500(served, monkeypatch,
+                                              caplog):
+    daemon, server = served
+
+    def broken():
+        raise RuntimeError("status is broken")
+
+    monkeypatch.setattr(daemon, "status", broken)
+    with caplog.at_level(logging.ERROR, logger="repro.monitor"):
+        payload = expect_error(server, "/fleet", 500)
+    assert payload["exception"] == "RuntimeError"
+    assert "RuntimeError" in payload["error"]
+    assert "/fleet" in payload["error"]
+    record, = [r for r in caplog.records if r.name == "repro.monitor"]
+    assert record.exc_info[0] is RuntimeError
+    status, _, body = fetch(server, "/healthz")  # still serving
     assert (status, body) == (200, b"ok\n")

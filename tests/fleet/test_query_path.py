@@ -1,6 +1,7 @@
 """The query path: per-tenant locks, snapshot immutability, and the
 incremental merged-profile cache."""
 
+import sys
 import threading
 import time
 
@@ -8,6 +9,7 @@ from repro.fleet import WindowStore
 
 A = ("app::Main()", "app::Parse()")
 B = ("app::Main()", "app::Process()")
+C = ("app::Main()", "app::Process()", "app::Flush()")
 
 
 def make_store():
@@ -49,13 +51,76 @@ def test_slow_query_on_one_tenant_does_not_block_another():
 
 def test_profiles_are_immutable_snapshots():
     """A handed-out profile never changes under later ingest — all
-    rendering happens outside the tenant lock on private arrays."""
+    rendering happens outside the tenant lock on private arrays, and
+    a snapshot reads only the paths its tenant's table had when it was
+    taken, even when it first renders after the table grew."""
     store = make_store()
     snapshot = store.merged("web")
     before = snapshot.folded()
-    store.add("web", {A: 999, B: 1}, ts=1.0)
+    text = snapshot.to_folded()
+    unrendered = store.profile("web", 0)
+    store.add("web", {A: 999, B: 1, C: 5}, ts=1.0)
     assert snapshot.folded() == before
     assert snapshot.total_exclusive() == 100
+    assert snapshot.to_folded() is text
+    assert text == "app::Main();app::Parse() 100\n"
+    assert unrendered.to_folded() == text
+    assert unrendered.flamegraph("w0").to_svg() == (
+        make_store().profile("web", 0).flamegraph("w0").to_svg()
+    )
+
+
+def test_a_snapshot_renders_its_folded_text_once():
+    """The folded text renders once per snapshot; a cache hit hands
+    back the same snapshot, so a repeated query renders nothing, and
+    the next ingest makes a new snapshot with its own text."""
+    store = make_store()
+    snapshot = store.merged("web")
+    text = snapshot.to_folded()
+    assert snapshot.to_folded() is text
+    assert store.merged("web").to_folded() is text
+    store.add("web", {B: 7}, ts=1.0)
+    assert store.merged("web").to_folded() == (
+        "app::Main();app::Parse() 100\napp::Main();app::Process() 7\n"
+    )
+
+
+def test_racing_first_renders_agree_under_ingest():
+    """The memo takes no lock: threads racing on a snapshot's first
+    render each render the same text, whichever write is kept, while
+    ingest grows the tenant's path table underneath them."""
+    store = make_store()
+    snapshot = store.merged("web")
+    expected = make_store().merged("web").to_folded()
+    results = []
+    stop = threading.Event()
+
+    def render():
+        results.append(snapshot.to_folded())
+
+    def ingest():
+        i = 0
+        while not stop.is_set():
+            store.add("web", {A + (f"app::Leaf{i}()",): 1}, ts=1.0)
+            i += 1
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        writer = threading.Thread(target=ingest, daemon=True)
+        writer.start()
+        readers = [threading.Thread(target=render) for _ in range(6)]
+        for reader in readers:
+            reader.start()
+        for reader in readers:
+            reader.join(timeout=30)
+        stop.set()
+        writer.join(timeout=30)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not writer.is_alive()
+    assert not any(reader.is_alive() for reader in readers)
+    assert results == [expected] * len(readers)
 
 
 # ----------------------------------------------------------------------

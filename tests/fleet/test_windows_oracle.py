@@ -6,8 +6,9 @@ through identical sequences.  Here the interned-path-table
 :class:`WindowSummary` must match :class:`DictWindowSummary`
 tick-for-tick across random absorb/merge/compact/archive sequences —
 including the ``("<other>",)`` compaction tail, the
-``salvaged + quarantined == entries`` identity, and byte-identical
-``to_folded()`` output through the flame graph.
+``salvaged + quarantined == entries`` identity, and the byte-identical
+folded text the HTTP route serves (against the dict profile's and the
+tree fold's).
 """
 
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from repro.fleet import (
     WindowStore,
     WindowSummary,
 )
+from tests.oracles.flamegraph import tree_folded
 
 METHODS = ["app::Main()", "app::Parse()", "app::Run()", "db::Get()",
            "db::Put()"]
@@ -91,11 +93,20 @@ def assert_identical(arr, oracle):
     assert arr_methods == oracle_methods
     excl = [m.exclusive for m in arr_profile.methods()]
     assert excl == sorted(excl, reverse=True)  # hottest first
-    if any(t > 0 for t in oracle.folded.values()):
-        assert (
-            arr_profile.flamegraph().to_folded()
-            == oracle_profile.flamegraph().to_folded()
-        )  # byte-identical folded text
+    assert_same_text(arr_profile, oracle_profile)
+
+
+def assert_same_text(profile, oracle_profile):
+    """The folded text the HTTP route serves is byte-identical to the
+    dict profile's and to the tree fold of the same graph."""
+    text = profile.to_folded()
+    assert text == oracle_profile.to_folded()
+    has_ticks = profile.total_exclusive() > 0
+    assert has_ticks == (oracle_profile.total_exclusive() > 0)
+    if has_ticks:
+        assert text == tree_folded(profile.flamegraph())
+    else:
+        assert text == ""
 
 
 @settings(deadline=None, max_examples=120)
@@ -170,6 +181,7 @@ def test_store_merged_matches_dict_merge_loop(ingests):
             merged_oracle.merge(oracle_windows[key])
         profile = store.merged("web")
         assert profile.folded() == merged_oracle.folded
+        assert_same_text(profile, merged_oracle.profile())
         assert store.merged("web") is profile  # warm repeat: pure hit
     summary = store.summary("web")
     assert summary["entries"] == sum(
