@@ -50,7 +50,12 @@ from repro.core.recovery import (
     recovery_stats,
     require_clean,
 )
-from repro.core.reconstruct import CallRecord, RecordColumns, run_shard
+from repro.core.reconstruct import (
+    CallRecord,
+    RecordColumns,
+    group_keys,
+    run_shard,
+)
 from repro.core.stats import PipelineStats
 from repro.frame import Frame
 from repro.symbols.symtab import CachedResolver
@@ -121,13 +126,14 @@ class Analysis:
 
     def _stats_from_columns(self):
         """Per-method aggregation over the columns: bincount the
-        sums, scatter the min/max, one unique pass over a
-        ``method_id * n_tids + tid_code`` key for the thread sets;
-        methods keep first-appearance order."""
+        sums, scatter the min/max and each method's first record, and
+        group ``method_id * n_tids + tid_code`` keys for the thread
+        sets; methods keep first-appearance order."""
         cols = self.columns
         mids = cols.method_id
         n_methods = len(cols.methods)
-        if not len(mids):
+        n = len(mids)
+        if not n:
             return {}
         calls = _np.bincount(mids, minlength=n_methods)
         incl = _np.zeros(n_methods, dtype=_np.int64)
@@ -139,18 +145,18 @@ class Analysis:
         _np.minimum.at(mins, mids, cols.inclusive)
         maxs = _np.full(n_methods, info.min, dtype=_np.int64)
         _np.maximum.at(maxs, mids, cols.inclusive)
-        threads = {}
-        tids, tid_code = _np.unique(
-            cols.tid.astype(_np.int64), return_inverse=True
-        )
+        first = _np.full(n_methods, n, dtype=_np.intp)
+        _np.minimum.at(first, mids, _np.arange(n))
+        tids, tid_code = group_keys(cols.tid)
         tids = tids.tolist()
-        for key in _np.unique(mids * len(tids) + tid_code).tolist():
+        threads = {}
+        pairs, _ = group_keys(mids * len(tids) + tid_code)
+        for key in pairs.tolist():
             mid, code = divmod(key, len(tids))
             threads.setdefault(mid, set()).add(tids[code])
-        uniq, first = _np.unique(mids, return_index=True)
         stats = {}
-        for j in _np.argsort(first, kind="stable").tolist():
-            mid = int(uniq[j])
+        called = _np.argsort(first)[: _np.count_nonzero(calls)]
+        for mid in called.tolist():
             name = cols.methods[mid]
             stats[name] = MethodStats(
                 method=name,

@@ -161,11 +161,11 @@ class AnalysisDiff:
     def flamegraph(self, title="differential flame graph"):
         """The *after* flame graph coloured by share change (every
         frame is new when the *before* profile has no time at all)."""
-        after_graph = FlameGraph.from_analysis(self.after, title=title)
+        after_graph = _graph(self.after, title)
         before_incl = {}
         if self.before.total_exclusive() > 0:
             before_incl = _inclusive_shares(
-                FlameGraph.from_analysis(self.before)
+                _graph(self.before)
             )
         after_incl = _inclusive_shares(after_graph)
         root = after_graph.root
@@ -187,6 +187,15 @@ class AnalysisDiff:
 
         after_graph.palette = palette
         return after_graph
+
+
+def _graph(profile, title="TEE-Perf Flame Graph"):
+    """`profile`'s own flame graph when it draws one (a fleet snapshot
+    draws from its interned path table), else the analysis graph."""
+    draw = getattr(profile, "flamegraph", None)
+    if draw is None:
+        return FlameGraph.from_analysis(profile, title=title)
+    return draw(title=title)
 
 
 def _inclusive_shares(graph):

@@ -14,18 +14,25 @@ structure-of-arrays result type it produces:
   parents come from a ``searchsorted`` of each level against the one
   above, the close order is the pairing inverted, and
   inclusive/exclusive ticks are per-call subtractions plus one
-  scatter-add of child inclusives onto parents.  No per-entry Python
-  at all.  A shard whose pairing shows an anomaly — a return that
-  would close the wrong frame, a stack that goes negative, a
-  truncated tail — returns ``None``.
+  scatter-add of child inclusives onto parents.  Call addresses and
+  each level's path keys, ``(parent path - first path of the level
+  above) * methods + method``, are grouped by :func:`group_keys`.  No
+  per-entry Python at all.  A shard whose pairing shows an anomaly — a
+  return that would close the wrong frame, a stack that goes negative,
+  a truncated tail — returns ``None``.
+* :func:`group_keys` — ``np.unique(keys, return_inverse=True)`` that
+  counts keys dense by construction in a presence table over their
+  span, and sorts sparser ones.
 * :func:`balance` — the paper's robustness rules, in the one place
   they live: it rewrites one thread's events into a clean sequence by
   dropping returns that match no open frame, closing the frames in
   between when a return matches a deeper frame, and closing frames
   left open at the thread's last counter.  The closes it adds are
   *synthetic* returns, and the records they close come out
-  ``truncated``.  :func:`repro.core.recovery.repair_tails` applies the
-  same function to write a balanced log.
+  ``truncated``.  Entries before the first anomaly pass through as
+  they are (one pairing pass finds it), so the per-entry walk starts
+  there.  :func:`repro.core.recovery.repair_tails` applies the same
+  function to write a balanced log.
 * :class:`RecordColumns` — the columnar result: one array per record
   field with interned method and call-path ids, mirroring
   :class:`~repro.core.log.LogColumns`.  :class:`CallRecord` objects
@@ -264,6 +271,33 @@ class RecordColumns:
 # The vectorised kernel
 
 
+def group_keys(keys):
+    """``np.unique(keys, return_inverse=True)`` for ``uint64`` or
+    ``int64`` keys: the sorted unique keys, in the keys' dtype, and
+    each key's index among them.
+
+    Stage 3's keys are mostly dense by construction (call addresses
+    from a compact text layout, level-relative path keys, method x
+    thread pairs), so a span of at most a few slots per key is counted
+    instead of sorted: a boolean table over the span marks the keys
+    that occur, ``flatnonzero`` lists them in order, and a rank table
+    over the span gives each key its index.  Sparser keys, such as
+    arbitrary 64-bit addresses in a damaged log, take the sort.
+    """
+    if len(keys):
+        lo = keys.min()
+        span = int(keys.max()) - int(lo) + 1
+        if span <= 4 * len(keys) + 4096:
+            offset = (keys - lo).astype(_np.intp)
+            present = _np.zeros(span, dtype=bool)
+            present[offset] = True
+            slots = _np.flatnonzero(present)
+            rank = _np.empty(span, dtype=_np.intp)
+            rank[slots] = _np.arange(len(slots))
+            return slots.astype(keys.dtype) + lo, rank[offset]
+    return _np.unique(keys, return_inverse=True)
+
+
 def reconstruct_vector(tid, kinds, counters, addrs, call_sites, offset,
                        cache, synthetic=None):
     """Reconstruct one clean shard in whole-array passes.
@@ -326,7 +360,7 @@ def reconstruct_vector(tid, kinds, counters, addrs, call_sites, offset,
         parent_idx[here] = prev[slot]
 
     # Symbolisation: one resolve per unique address, fanned back out.
-    uniq_addrs, addr_inv = _np.unique(call_addr, return_inverse=True)
+    uniq_addrs, addr_inv = group_keys(call_addr)
     name_id = {}
     methods = []
     addr_mid = _np.empty(len(uniq_addrs), dtype=_np.int64)
@@ -349,7 +383,7 @@ def reconstruct_vector(tid, kinds, counters, addrs, call_sites, offset,
         checked = _np.nonzero((cs != 0) & (call_depth > 0))[0]
         if len(checked):
             requested += len(checked)
-            uniq_cs, cs_inv = _np.unique(cs[checked], return_inverse=True)
+            uniq_cs, cs_inv = group_keys(cs[checked])
             cs_mid = _np.empty(len(uniq_cs), dtype=_np.int64)
             for k, runtime in enumerate(uniq_cs.tolist()):
                 name = resolve_name(cache, runtime, offset)
@@ -379,19 +413,23 @@ def reconstruct_vector(tid, kinds, counters, addrs, call_sites, offset,
     caller_id[nested] = mid_arr[nested_parent]
 
     # Path interning, one level at a time: a node is (parent path,
-    # method); np.unique over a combined integer key dedupes a whole
-    # level in one pass.  Parents are interned before children.
+    # method), keyed relative to the first path of the level above
+    # (the root, -1, above level 0), so a level's keys span (paths
+    # above) x (methods) and group in one pass.  The keys sort as
+    # (parent, method) pairs, and parents are interned before children.
     path_id = _np.empty(n_calls, dtype=_np.int64)
     paths = []
-    width = len(methods) + 1
+    width = len(methods)
+    above = -1
     for d, sel in enumerate(levels):
         key = mid_arr[sel]
         if d:
-            key = key + (path_id[parent_idx[sel]] + 1) * width
-        uniq_key, key_inv = _np.unique(key, return_inverse=True)
+            key = key + (path_id[parent_idx[sel]] - above) * width
+        uniq_key, key_inv = group_keys(key)
         path_id[sel] = len(paths) + key_inv
-        paths.extend(zip((uniq_key // width - 1).tolist(),
-                         (uniq_key % width).tolist()))
+        parents = (uniq_key // width + above).tolist()
+        above = len(paths)
+        paths.extend(zip(parents, (uniq_key % width).tolist()))
 
     if synthetic is None:
         truncated = _np.zeros(n_calls, dtype=bool)
@@ -430,6 +468,11 @@ def balance(kinds, counters, addrs, call_sites):
     * frames still open at the end get synthetic returns at the
       thread's last counter.
 
+    Every entry before the first anomaly (see :func:`_clean_prefix`)
+    stands for itself, so the walk starts there, from the open stack
+    that prefix leaves; a thread cut mid-call only has its open frames
+    closed.
+
     Inputs are numpy ``uint64`` columns (``call_sites`` is ``None`` for
     v1 logs).  Returns ``(columns, synthetic, source, dropped)``: the
     balanced ``(kinds, counters, addrs, call_sites)`` (a synthetic
@@ -439,12 +482,15 @@ def balance(kinds, counters, addrs, call_sites):
     ``len(kinds)``), and the number of returns dropped.
     """
     n = len(kinds)
-    source = []  # input row per output row
+    start, open_rows = _clean_prefix(kinds, addrs)
+    open_addrs = addrs[open_rows].tolist()  # innermost last
+    open_rows = open_rows.tolist()
+    source = []  # input row per output row past the prefix
     closes = {}  # output row of a synthetic return -> the call it closes
-    open_rows = []  # input rows of the open calls, innermost last
-    open_addrs = []
     dropped = 0
-    for i, (kind, addr) in enumerate(zip(kinds.tolist(), addrs.tolist())):
+    for i, (kind, addr) in enumerate(
+        zip(kinds[start:].tolist(), addrs[start:].tolist()), start
+    ):
         if kind == KIND_CALL:
             open_rows.append(i)
             open_addrs.append(addr)
@@ -453,7 +499,7 @@ def balance(kinds, counters, addrs, call_sites):
             open_addrs.pop()
         elif addr in open_addrs:
             while open_addrs.pop() != addr:
-                closes[len(source)] = open_rows.pop()
+                closes[start + len(source)] = open_rows.pop()
                 source.append(i)
             open_rows.pop()
         else:
@@ -461,9 +507,12 @@ def balance(kinds, counters, addrs, call_sites):
             continue
         source.append(i)
     while open_rows:
-        closes[len(source)] = open_rows.pop()
+        closes[start + len(source)] = open_rows.pop()
         source.append(n)
-    source = _np.asarray(source, dtype=_np.int64)
+    source = _np.concatenate((
+        _np.arange(start, dtype=_np.int64),
+        _np.asarray(source, dtype=_np.int64),
+    ))
     synthetic = _np.zeros(len(source), dtype=bool)
     synthetic[list(closes)] = True
     row = _np.minimum(source, n - 1)  # a closing row reads the last counter
@@ -476,6 +525,36 @@ def balance(kinds, counters, addrs, call_sites):
         call_sites[synthetic] = 0
     columns = (out_kinds, counters[row], out_addrs, call_sites)
     return columns, synthetic, source, dropped
+
+
+def _clean_prefix(kinds, addrs):
+    """How many of one thread's events come before the first anomaly,
+    and the input rows of the calls open there, outermost first.
+
+    The first anomaly is the first return with no open frame (the
+    depth goes negative) or whose structurally paired call has another
+    address.  Up to there, the entries that leave or reach one depth
+    level alternate call, return, call, ...: a stable sort by that
+    level puts each return right after the call it closes, and an
+    open level's frame is its one unpaired call.
+    """
+    is_call = kinds == KIND_CALL
+    depth_after = _np.cumsum(_np.where(is_call, 1, -1))
+    negative = _np.flatnonzero(depth_after < 0)
+    end = int(negative[0]) if len(negative) else len(kinds)
+    level = depth_after[:end] - is_call[:end]
+    open_calls = is_call[:end].copy()
+    if end:
+        key_type = _np.min_scalar_type(int(level.max()))
+        order = _np.argsort(level.astype(key_type), kind="stable")
+        slots = _np.flatnonzero(~is_call[order])
+        ret_rows, call_rows = order[slots], order[slots - 1]
+        wrong = _np.flatnonzero(addrs[call_rows] != addrs[ret_rows])
+        if len(wrong):
+            end = int(ret_rows[wrong].min())
+            call_rows = call_rows[ret_rows < end]
+        open_calls[call_rows] = False
+    return end, _np.flatnonzero(open_calls[:end])
 
 
 # ======================================================================

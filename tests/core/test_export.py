@@ -100,3 +100,22 @@ def test_json_dump_roundtrips(analysis):
     assert by_name["leaf"]["exclusive"] == 15
     assert doc["folded"]["main;work;leaf"] == 15
     assert doc["meta"]["events"] == 8
+
+
+def test_thread_ids_above_2_to_the_63_stay_unsigned():
+    """A thread id is a 64-bit unsigned word: ``methods()``,
+    ``to_json`` and ``threads()`` report the same ids for it."""
+    image = BinaryImage("app")
+    image.add_function("main", size=64)
+    main = image.symtab.by_name("main").addr
+    big = 2**63 + 5
+    log = SharedLog.create(8, profiler_addr=image.profiler_addr)
+    for kind, t, tid in [(KIND_CALL, 0, big), (KIND_CALL, 1, 7),
+                         (KIND_RET, 10, big), (KIND_RET, 20, 7)]:
+        append(log, kind, t, main, tid)
+    analysis = Analyzer(image).analyze(log)
+    assert analysis.threads() == [big, 7]
+    assert {r.tid for r in analysis.records} == {big, 7}
+    assert analysis.method("main").threads == {big, 7}
+    doc = json.loads(to_json(analysis))
+    assert doc["methods"][0]["threads"] == [7, big]

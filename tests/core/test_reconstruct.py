@@ -28,10 +28,15 @@ from repro.core import (
     to_json,
     to_metrics,
 )
-from repro.core.reconstruct import run_shard
+from repro.core.reconstruct import balance, group_keys, run_shard
 from repro.monitor import MetricRegistry, PipelineSampler
 from repro.symbols import CachedResolver
-from tests.oracles.batch import analyze_batch, method_table, reconstruct_python
+from tests.oracles.batch import (
+    analyze_batch,
+    balance_walk,
+    method_table,
+    reconstruct_python,
+)
 from tests.oracles.per_event import append
 
 FUNCTIONS = ("main", "work", "leaf", "spin", "idle")
@@ -84,6 +89,40 @@ def assert_identical(image, events):
 
 
 # ----------------------------------------------------------------------
+# Grouping keys
+
+
+@st.composite
+def grouping_keys(draw):
+    """uint64 or int64 keys over a span that the presence table takes
+    (up to a few slots per key) or that it leaves to the sort, placed
+    anywhere in the dtype's range, its ends included."""
+    dtype = draw(st.sampled_from([np.uint64, np.int64]))
+    info = np.iinfo(dtype)
+    span = draw(st.sampled_from([1, 2, 64, 4096, 1 << 16, 1 << 40]))
+    lo = draw(st.one_of(
+        st.sampled_from([int(info.min), int(info.max) - span + 1]),
+        st.integers(int(info.min), int(info.max) - span + 1),
+    ))
+    offsets = draw(st.lists(st.integers(0, span - 1), min_size=1,
+                            max_size=40))
+    if draw(st.booleans()):
+        offsets += [0, span - 1]  # the span's ends occur
+    return np.array([lo + o for o in offsets], dtype=dtype)
+
+
+@settings(deadline=None, max_examples=300)
+@given(grouping_keys())
+def test_group_keys_equals_np_unique(keys):
+    uniq, inverse = group_keys(keys)
+    want_uniq, want_inverse = np.unique(keys, return_inverse=True)
+    assert uniq.dtype == want_uniq.dtype
+    assert uniq.tolist() == want_uniq.tolist()
+    assert inverse.dtype == want_inverse.dtype
+    assert inverse.tolist() == want_inverse.tolist()
+
+
+# ----------------------------------------------------------------------
 # The differential property
 
 
@@ -94,20 +133,22 @@ event_soup = st.lists(
     st.tuples(
         st.sampled_from([KIND_CALL, KIND_RET]),
         st.integers(0, len(FUNCTIONS) - 1),
-        st.integers(1, 2),  # tids
+        st.sampled_from([1, 2, 2**63 + 5]),  # tids, one above int64's range
     ),
     max_size=60,
 )
 
 
 @settings(deadline=None, max_examples=120)
-@given(event_soup)
-def test_vector_matches_oracle_on_anomalous_shards(ops):
+@given(event_soup, st.sampled_from([64, 1 << 20]))
+def test_vector_matches_oracle_on_anomalous_shards(ops, size):
+    """Functions of 1 MiB spread the call addresses too thin for the
+    presence table, so their shards group addresses by sorting."""
     from repro.symbols import BinaryImage
 
     img = BinaryImage("app")
     for name in FUNCTIONS:
-        img.add_function(name, size=64)
+        img.add_function(name, size=size)
     events = [
         (kind, fn, 10 * i, tid) for i, (kind, fn, tid) in enumerate(ops)
     ]
@@ -238,6 +279,58 @@ def test_a_shard_deeper_than_16_bits_matches_the_oracle(image):
     )
 
 
+def test_sparse_addresses_are_sorted_and_match_the_oracle():
+    """Five functions 1 MiB apart: the call addresses span far more
+    than a few slots per call (the presence table's bound is 4 per key
+    plus 4,096), so symbolisation groups them by sorting."""
+    from repro.symbols import BinaryImage
+
+    img = BinaryImage("app")
+    for name in FUNCTIONS:
+        img.add_function(name, size=1 << 20)
+    events = [
+        (kind, fn, 10 * i + 1000 * rep, 1)
+        for rep in range(3)
+        for i, (kind, fn) in enumerate(CALL_TREE)
+    ]
+    addrs = [img.symtab.by_name(name).addr for name in FUNCTIONS]
+    assert max(addrs) - min(addrs) + 1 > 4 * 15 + 4096
+    vector, _ = assert_identical(img, events)
+    assert vector.pipeline.shards_vectorised == 1
+
+
+def test_a_wide_level_is_sorted_and_matches_the_oracle():
+    """200 root calls, one per function, then one child under the
+    first root and one under the last: the second level's keys span
+    (200 paths above) x (200 methods), far more than its two calls'
+    presence table may cover, so that level interns by sorting while
+    the addresses (200 functions 16 bytes apart) are counted."""
+    from repro.symbols import BinaryImage
+
+    img = BinaryImage("app")
+    names = [f"f{i}" for i in range(200)]
+    addrs = [img.add_function(name, size=16) for name in names]
+    log = SharedLog.create(512, profiler_addr=img.profiler_addr)
+    counter = 0
+    for i, addr in enumerate(addrs):
+        events = [(KIND_CALL, addr)]
+        if i in (0, len(addrs) - 1):
+            events += [(KIND_CALL, addr), (KIND_RET, addr)]
+        for kind, at in events + [(KIND_RET, addr)]:
+            counter += 3
+            append(log, kind, counter, at, 1)
+    analyzer = Analyzer(img)
+    analysis = analyzer.analyze(log)
+    batch = analyze_batch(analyzer, log)
+    assert analysis.records == batch.records
+    assert analysis.folded() == batch.folded()
+    assert analysis.methods() == batch.methods()
+    assert analysis.pipeline.shards_vectorised == 1
+    cols = analysis.columns
+    assert len(cols.paths) == 202
+    assert cols.paths[200:] == [(0, 0), (199, 199)]
+
+
 def test_anomalous_shards_fall_back(image):
     events = [
         (KIND_RET, 2, 5, 1),  # unmatched
@@ -299,6 +392,61 @@ def test_repair_tails_writes_what_the_analyzer_balances(ops):
     assert repaired.pipeline.shards_fallback == 0
     assert report.tails_repaired == original.pipeline.frames_truncated
     assert report.rets_dropped == original.unmatched_returns
+
+
+def assert_balances_like_the_walk(kinds, addrs, call_sites):
+    """`balance` and the full walk of the oracle return equal arrays
+    of equal dtypes and the same drop count."""
+    kinds = np.asarray(kinds, dtype=np.uint64)
+    addrs = np.asarray(addrs, dtype=np.uint64)
+    counters = np.cumsum(np.arange(1, len(kinds) + 1, dtype=np.uint64))
+    if call_sites is not None:
+        call_sites = np.asarray(call_sites, dtype=np.uint64)
+    got = balance(kinds, counters, addrs, call_sites)
+    want = balance_walk(kinds, counters, addrs, call_sites)
+    got_arrays = (*got[0], got[1], got[2])
+    want_arrays = (*want[0], want[1], want[2])
+    for a, b in zip(got_arrays, want_arrays):
+        if b is None:
+            assert a is None
+        else:
+            assert a.dtype == b.dtype
+            assert a.tolist() == b.tolist()
+    assert got[3] == want[3]
+
+
+@settings(deadline=None, max_examples=200)
+@given(event_soup, st.booleans())
+def test_balance_matches_the_full_walk(ops, with_call_sites):
+    """Walking from the first anomaly gives what walking from the
+    first entry gives, per thread, with and without call sites."""
+    threads = {}
+    for kind, fn, tid in ops:
+        threads.setdefault(tid, []).append((kind, fn))
+    for events in threads.values():
+        kinds = [kind for kind, _ in events]
+        addrs = [0x400 + 16 * fn for _, fn in events]
+        sites = [0x400 + 16 * fn + 3 for _, fn in events]
+        assert_balances_like_the_walk(
+            kinds, addrs, sites if with_call_sites else None
+        )
+
+
+@pytest.mark.parametrize("with_call_sites", [False, True],
+                         ids=["v1", "v2"])
+def test_balance_matches_the_full_walk_on_every_cut(with_call_sites):
+    """Every prefix of a clean trace, as a thread cut at capture:
+    no anomaly comes before the cut, so only the open frames close."""
+    trace = CALL_TREE * 2 + [(KIND_CALL, 0), (KIND_CALL, 0),
+                             (KIND_RET, 0), (KIND_RET, 0)]
+    kinds = [kind for kind, _ in trace]
+    addrs = [0x400 + 16 * fn for _, fn in trace]
+    sites = [0x400 + 16 * fn + 3 for _, fn in trace]
+    for cut in range(1, len(trace) + 1):
+        assert_balances_like_the_walk(
+            kinds[:cut], addrs[:cut],
+            sites[:cut] if with_call_sites else None,
+        )
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,7 @@ from repro.fleet import (
     WindowStore,
     WindowSummary,
 )
-from repro.fleet.windows import MethodShare
+from repro.fleet.windows import ArrayProfile, MethodShare
 
 A = ("app::Main()", "app::Parse()")
 B = ("app::Main()", "app::Process()")
@@ -170,6 +170,25 @@ def test_diff_between_windows_flags_the_regression():
     top = diff.regressions()[0]
     assert top.method == "app::Regress()"
     assert top.appeared
+
+
+def test_diff_svg_draws_snapshots_from_their_path_table(monkeypatch):
+    """A window diff's flame graph reads each snapshot's interned path
+    table, never a ``folded()`` dict, and draws what the dict profiles
+    of the same windows draw."""
+    store = WindowStore(window_seconds=60.0)
+    store.add("web", FOLDED, CALLS, ts=0.0)
+    hot = {**FOLDED, ("app::Main()", "app::Regress()"): 2000}
+    store.add("web", hot, CALLS, ts=60.0)
+    expected = FoldedProfile(FOLDED, CALLS).diff(
+        FoldedProfile(hot, CALLS)
+    ).flamegraph().to_svg()
+
+    def no_dicts(self):
+        raise AssertionError("the diff read a folded() dict")
+
+    monkeypatch.setattr(ArrayProfile, "folded", no_dicts)
+    assert store.diff("web", 0, 1).flamegraph().to_svg() == expected
 
 
 def test_store_errors_name_what_exists():

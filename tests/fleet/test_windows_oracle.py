@@ -198,7 +198,8 @@ def test_store_merged_matches_dict_merge_loop(ingests):
 def test_aligned_diff_matches_dict_diff(b_folded, b_calls, a_folded,
                                         a_calls):
     """Two snapshots over one shared path table diff via the aligned
-    array path; the result must equal the per-method dict walk."""
+    array path; the result must equal the per-method dict walk, and
+    the differential flame graph the dict profiles' one."""
     store = WindowStore(window_seconds=60.0, retention=8,
                         max_paths=4096)
     store.add("web", b_folded, b_calls, ts=0.0)
@@ -223,6 +224,10 @@ def test_aligned_diff_matches_dict_diff(b_folded, b_calls, a_folded,
         assert fast.delta_for(method).delta == (
             slow.delta_for(method).delta
         )
+    # The diff SVG draws both snapshots from their path table; the
+    # dict profiles draw from folded dicts.
+    if any(t > 0 for t in a_folded.values()):
+        assert fast.flamegraph().to_svg() == slow.flamegraph().to_svg()
 
 
 def test_compaction_tail_is_tick_conserving():

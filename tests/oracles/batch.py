@@ -8,7 +8,9 @@ rebuilt by :func:`reconstruct_python`, an entry-at-a-time loop over an
 explicit stack of open frames, on a single worker.  No column chunks,
 no sharding pool, no vector kernel and no balance pass.
 :func:`method_table` aggregates records into the per-method table one
-record at a time, the reference for the columnar aggregation.
+record at a time, the reference for the columnar aggregation, and
+:func:`balance_walk` applies the matching rules from a thread's first
+entry on, the reference for :func:`~repro.core.reconstruct.balance`.
 
 The streaming :meth:`~repro.core.analyzer.Analyzer.analyze` must match
 it byte for byte on every log, chunk size and ``jobs`` value.
@@ -17,7 +19,7 @@ it byte for byte on every log, chunk size and ``jobs`` value.
 import numpy as np
 
 from repro.core.analyzer import Analysis, MethodStats
-from repro.core.log import KIND_CALL
+from repro.core.log import KIND_CALL, KIND_RET
 from repro.core.reconstruct import CallRecord, RecordColumns, resolve_name
 from repro.core.stats import PipelineStats
 from repro.symbols import CachedResolver
@@ -114,6 +116,50 @@ def reconstruct_python(tid, kinds, counters, addrs, call_sites, offset,
     while stack:
         close(stack.pop(), last_counter, truncated=True)
     return records, unmatched, mismatches
+
+
+def balance_walk(kinds, counters, addrs, call_sites):
+    """:func:`~repro.core.reconstruct.balance` as one walk over every
+    entry of a thread against its stack of open calls, with the same
+    inputs and outputs."""
+    n = len(kinds)
+    source = []  # input row per output row
+    closes = {}  # output row of a synthetic return -> the call it closes
+    open_rows = []  # input rows of the open calls, innermost last
+    open_addrs = []
+    dropped = 0
+    for i, (kind, addr) in enumerate(zip(kinds.tolist(), addrs.tolist())):
+        if kind == KIND_CALL:
+            open_rows.append(i)
+            open_addrs.append(addr)
+        elif open_addrs and open_addrs[-1] == addr:
+            open_rows.pop()
+            open_addrs.pop()
+        elif addr in open_addrs:
+            while open_addrs.pop() != addr:
+                closes[len(source)] = open_rows.pop()
+                source.append(i)
+            open_rows.pop()
+        else:
+            dropped += 1
+            continue
+        source.append(i)
+    while open_rows:
+        closes[len(source)] = open_rows.pop()
+        source.append(n)
+    source = np.asarray(source, dtype=np.int64)
+    synthetic = np.zeros(len(source), dtype=bool)
+    synthetic[list(closes)] = True
+    row = np.minimum(source, n - 1)  # a closing row reads the last counter
+    out_kinds = kinds[row]
+    out_kinds[synthetic] = KIND_RET
+    out_addrs = addrs[row]
+    out_addrs[synthetic] = addrs[list(closes.values())]
+    if call_sites is not None:
+        call_sites = call_sites[row]
+        call_sites[synthetic] = 0
+    columns = (out_kinds, counters[row], out_addrs, call_sites)
+    return columns, synthetic, source, dropped
 
 
 def method_table(records):
