@@ -432,6 +432,8 @@ def cmd_fleet_serve(args):
     """Boot the continuous-profiling daemon: socket ingest + HTTP
     queries + the monitor scrape surface, until --duration elapses
     (0 = serve until interrupted)."""
+    import signal
+
     from repro.fleet import FleetDaemon, FleetServer, IngestListener
 
     daemon = FleetDaemon(
@@ -444,11 +446,21 @@ def cmd_fleet_serve(args):
     ingest_port = listener.start()
     server = FleetServer(daemon, port=args.port)
     server.start()
-    print(f"fleet: ingest on 127.0.0.1:{ingest_port}")
-    print(f"fleet: queries at {server.url}/profiles "
-          f"(status at {server.url}/fleet)")
-    sys.stdout.flush()
+    # SIGINT and SIGTERM both stop the daemon through the drain below,
+    # also when it started with SIGINT ignored (a background job of a
+    # non-interactive shell), where Python installs no handler of its
+    # own.  Only the main thread may install them.
+    previous = {}
+    if threading.current_thread() is threading.main_thread():
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            previous[signum] = signal.signal(
+                signum, signal.default_int_handler
+            )
     try:
+        print(f"fleet: ingest on 127.0.0.1:{ingest_port}")
+        print(f"fleet: queries at {server.url}/profiles "
+              f"(status at {server.url}/fleet)")
+        sys.stdout.flush()
         if args.duration > 0:
             time.sleep(args.duration)
         else:
@@ -460,6 +472,9 @@ def cmd_fleet_serve(args):
         listener.stop()
         server.stop()
         daemon.stop()
+        for signum, handler in previous.items():
+            if handler is not None:  # None: not set from Python
+                signal.signal(signum, handler)
     status = daemon.status()
     counters = status["counters"]
     print(
@@ -783,7 +798,8 @@ def build_parser():
     )
     serve.add_argument(
         "--duration", type=float, default=0.0,
-        help="serve this many seconds then exit (0 = until Ctrl-C)",
+        help="serve this many seconds then exit "
+             "(0 = until SIGINT or SIGTERM)",
     )
     serve.set_defaults(fn=cmd_fleet_serve)
 

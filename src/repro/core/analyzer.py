@@ -218,12 +218,17 @@ class Analysis:
         pids = cols.path_id[mask]
         if not len(pids):
             return {}
+        n = len(pids)
         sums = _np.zeros(len(cols.paths), dtype=_np.int64)
         _np.add.at(sums, pids, cols.exclusive[mask])
-        uniq, first = _np.unique(pids, return_index=True)
+        # Paths in order of first appearance: each path's first record
+        # from one scatter-min, as the method table does, not a sort.
+        first = _np.full(len(cols.paths), n, dtype=_np.intp)
+        _np.minimum.at(first, pids, _np.arange(n))
+        present = _np.flatnonzero(first < n)
         return {
-            cols.path_tuple(int(uniq[j])): int(sums[uniq[j]])
-            for j in _np.argsort(first, kind="stable").tolist()
+            cols.path_tuple(pid): int(sums[pid])
+            for pid in present[_np.argsort(first[present])].tolist()
         }
 
     # ------------------------------------------------------------------

@@ -19,8 +19,37 @@ tree is built on first use, and only layout needs it (the SVG,
 
 import html
 import zlib
+from collections import namedtuple
 
 import numpy as _np
+
+#: The folded lines of a path table's first ``len(names)`` paths: each
+#: path's name tuple and line stem (``"a;b;c"``), and those path ids in
+#: name-tuple order.  Built by :func:`folded_lines`; never mutated.
+FoldedLines = namedtuple("FoldedLines", ("names", "stems", "order"))
+
+_NO_LINES = FoldedLines((), (), ())
+
+
+def folded_lines(paths, methods, n, lines=_NO_LINES):
+    """The :class:`FoldedLines` of the first `n` nodes of the path
+    table ``(paths, methods)``, extending `lines` — the same table's,
+    over its first ``len(lines.names) <= n`` paths.  A prefix of an
+    append-only table never changes, so only the new paths get a name
+    and a stem, and the order is one merge of the old sorted run with
+    them."""
+    names, stems = list(lines.names), list(lines.stems)
+    start = len(names)
+    for parent, mid in paths[start:n]:
+        name = methods[mid]
+        if parent >= 0:
+            names.append(names[parent] + (name,))
+            stems.append(f"{stems[parent]};{name}")
+        else:
+            names.append((name,))
+            stems.append(name)
+    order = sorted([*lines.order, *range(start, n)], key=names.__getitem__)
+    return FoldedLines(names, stems, order)
 
 
 class FlameGraph:
@@ -62,7 +91,7 @@ class FlameGraph:
 
     @classmethod
     def from_path_table(cls, paths, methods, ticks,
-                        title="TEE-Perf Flame Graph"):
+                        title="TEE-Perf Flame Graph", lines=None):
         """A graph over an interned path table, taken as it is.
 
         ``paths`` is the ``(parent_path_id, method_id)`` node list
@@ -70,10 +99,14 @@ class FlameGraph:
         of one parent named alike), ``methods`` the method-name table,
         and ``ticks`` the per-path-id exclusive totals.  Paths with no
         positive ticks draw nothing, matching the folded-dict
-        construction exactly.
+        construction exactly.  ``lines`` are the table's
+        :class:`FoldedLines` over at least ``len(paths)`` paths, when
+        the caller keeps them; :meth:`to_folded` then renders from
+        them instead of building its own.
         """
         self = cls.__new__(cls)
         self._adopt(paths, methods, ticks, title)
+        self._lines = lines
         return self
 
     @classmethod
@@ -98,6 +131,7 @@ class FlameGraph:
         self._total = total
         self._root = None
         self._inclusive = None
+        self._lines = None
 
     # ------------------------------------------------------------------
 
@@ -157,16 +191,19 @@ class FlameGraph:
     def to_folded(self):
         """The canonical folded-stacks text: one ``a;b;c ticks`` line
         per path with positive ticks, ordered by name tuple (a prefix
-        before its extensions)."""
-        methods = self._methods
-        names = []
-        for parent, mid in self._paths:
-            leaf = (methods[mid],)
-            names.append(names[parent] + leaf if parent >= 0 else leaf)
-        rows = sorted(
-            (names[pid], t) for pid, t in enumerate(self._ticks) if t > 0
-        )
-        return "".join(";".join(path) + f" {t}\n" for path, t in rows)
+        before its extensions).  Renders from the table's
+        :class:`FoldedLines` when it was given them (which may cover
+        more paths than this graph's), else from its own."""
+        ticks = self._ticks
+        n = len(ticks)
+        lines = self._lines
+        if lines is None:
+            lines = folded_lines(self._paths, self._methods, n)
+        stems = lines.stems
+        return "".join([
+            f"{stems[pid]} {ticks[pid]}\n"
+            for pid in lines.order if pid < n and ticks[pid] > 0
+        ])
 
     def write_folded(self, path):
         with open(path, "w") as fh:

@@ -29,9 +29,11 @@ degrades into quarantine accounting, never into a protocol error.
 """
 
 import json
+import logging
 import socket
 import struct
 import uuid
+from collections import Counter
 
 __all__ = [
     "FleetClient",
@@ -45,6 +47,8 @@ _LEN = struct.Struct("!I")
 #: Refuse absurd frames before allocating for them.
 MAX_HEADER = 1 << 20
 MAX_PAYLOAD = 1 << 31
+
+_LOG = logging.getLogger("repro.fleet")
 
 
 class ProtocolError(RuntimeError):
@@ -182,6 +186,9 @@ class FleetClient:
         self.session = None
         self.tenant = None
         self.segments_sent = 0
+        #: Shared-memory publishes sent inline instead, by the name of
+        #: the exception that ruled shared memory out.
+        self.shm_fallbacks = Counter()
 
     # ------------------------------------------------------------------
 
@@ -222,15 +229,22 @@ class FleetClient:
 
         ``via_shm=True`` stages the image in a shared-memory block and
         sends only its name — the zero-copy-over-the-socket fast path.
-        Falls back to the inline payload when the host has no shared
-        memory.
+        Falls back to the inline payload when the host has no usable
+        shared memory (``ImportError`` or ``OSError`` staging the
+        block), counted in :attr:`shm_fallbacks` and logged on the
+        ``repro.fleet`` logger; any other error propagates.
         """
         log_bytes = bytes(log_bytes)
         if via_shm:
             try:
                 shm = _shm_create(log_bytes)
-            except Exception:
+            except (ImportError, OSError) as exc:
                 shm = None  # no /dev/shm here: inline is still correct
+                self.shm_fallbacks[type(exc).__name__] += 1
+                _LOG.warning(
+                    "shared memory unavailable, publishing inline: "
+                    "%s: %s", type(exc).__name__, exc,
+                )
             if shm is not None:
                 try:
                     ack = self._request({

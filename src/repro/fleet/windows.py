@@ -48,8 +48,10 @@ which is exactly what :class:`~repro.core.diff.AnalysisDiff` and
 :meth:`~repro.core.flamegraph.FlameGraph.from_analysis` consume — so
 window-vs-window regression diffs and merged flame graphs reuse the
 core machinery unchanged.  A snapshot renders its folded text at
-most once; the merged cache hands out the same snapshot until the
-next ingest, so a repeated folded query renders nothing.
+most once, from the line stems and name order its tenant's table
+keeps (:meth:`PathTable.folded_lines`); the merged cache hands out the
+same snapshot until the next ingest, so a repeated folded query
+renders nothing.
 """
 
 import threading
@@ -61,6 +63,7 @@ import numpy as np
 
 from repro.core.diff import AnalysisDiff
 from repro.core.flamegraph import FlameGraph
+from repro.core.flamegraph import folded_lines as _folded_lines
 
 __all__ = [
     "ArrayProfile",
@@ -96,11 +99,13 @@ class PathTable:
     root); ``methods`` is the method-name table and ``tuples`` the
     reverse map id -> path tuple.  Both tables are append-only, so a
     prefix of either is immutable forever — snapshots remember a
-    length instead of copying.
+    length instead of copying, and what is derived from a prefix (the
+    leaf ids, the folded lines) is memoised here and only extended
+    when the table grows.
     """
 
     __slots__ = ("methods", "paths", "tuples", "_method_ids",
-                 "_path_ids", "_leaf_cache")
+                 "_path_ids", "_leaf_cache", "_lines")
 
     def __init__(self):
         self.methods = []
@@ -109,6 +114,7 @@ class PathTable:
         self._method_ids = {}
         self._path_ids = {}
         self._leaf_cache = np.zeros(0, dtype=np.int64)
+        self._lines = _folded_lines(self.paths, self.methods, 0)
 
     def __len__(self):
         return len(self.paths)
@@ -152,6 +158,28 @@ class PathTable:
             )
             self._leaf_cache = cache
         return cache[:n]
+
+    def folded_lines(self, n):
+        """The :class:`~repro.core.flamegraph.FoldedLines` of at least
+        the first `n` paths: each path's line stem and the table's
+        name order, which any snapshot of the first `n` paths renders
+        its folded text from.  Extended to the whole table, and
+        re-sorted, only when the table grew past the memo.
+
+        Snapshots render outside the tenant lock while ingest appends
+        and other requests render, so a grown memo is built privately
+        and published by one attribute store (never half-extended),
+        and the caller renders from the object returned here: another
+        thread may yet publish a memo that is shorter than `n`."""
+        lines = self._lines
+        if len(lines.names) < n:
+            # ``tuples`` is appended after ``paths``, so its length
+            # counts only paths that are complete.
+            lines = _folded_lines(
+                self.paths, self.methods, len(self.tuples), lines
+            )
+            self._lines = lines
+        return lines
 
 
 def _grow(arr, n):
@@ -596,7 +624,8 @@ class ArrayProfile(FoldedProfile):
     Same duck type as :class:`FoldedProfile`, but the hot consumers
     skip path tuples entirely: :meth:`flamegraph` is a graph over the
     interned table itself (:meth:`FlameGraph.from_path_table`), so the
-    folded text renders straight from it, :meth:`methods` is one
+    folded text renders from the table's memoised line stems and name
+    order (:meth:`PathTable.folded_lines`), :meth:`methods` is one
     leaf-id scatter-add, and two snapshots of the same tenant diff
     over aligned method arrays.  ``folded()`` still materialises the
     oracle-identical dict on demand.  The table is append-only and a
@@ -671,9 +700,10 @@ class ArrayProfile(FoldedProfile):
         ]
 
     def flamegraph(self, title=None):
+        table, n = self._table, self._n_paths
         return FlameGraph.from_path_table(
-            self._table.paths[: self._n_paths], self._table.methods,
-            self._ticks, title=title or self.title,
+            table.paths[:n], table.methods, self._ticks,
+            title=title or self.title, lines=table.folded_lines(n),
         )
 
 

@@ -20,8 +20,11 @@ with this server, so it has to behave like one):
   replied answers a JSON 500 naming the exception type (the traceback
   goes to the ``repro.monitor`` logger) instead of a dropped
   connection;
-* request threads are bounded (``max_threads``) — a scrape storm
-  queues in the listen backlog instead of spawning unbounded threads;
+* request threads are bounded (``max_threads``) and reused — a
+  scrape storm queues in the listen backlog instead of spawning
+  unbounded threads, and a connection is served by an idle thread
+  rather than a new one (threads start on demand, none with the
+  server);
 * :meth:`MonitorServer.stop` is safe while requests are in flight:
   in-flight handlers finish (bounded by the thread cap), the accept
   loop stops, and the socket closes exactly once.
@@ -33,7 +36,8 @@ subclassing :class:`_Handler` and overriding :meth:`_Handler.route`.
 import json
 import logging
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from concurrent.futures import ThreadPoolExecutor
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from urllib.parse import parse_qsl
 
 EXPOSITION_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -123,20 +127,18 @@ class _Handler(BaseHTTPRequestHandler):
         the registry instead."""
 
 
-class _BoundedThreadingHTTPServer(ThreadingHTTPServer):
-    """A ThreadingHTTPServer with a cap on concurrent request threads.
+class _BoundedThreadingHTTPServer(HTTPServer):
+    """An HTTPServer that serves requests on at most ``max_threads``
+    reused threads.
 
-    The accept loop blocks on a semaphore before spawning each
-    request thread; the thread releases it when the handler finishes.
-    Excess clients wait in the TCP backlog — bounded memory under a
-    scrape storm, and ``shutdown()`` has at most ``max_threads``
-    handlers to wait out.
+    The accept loop blocks on a semaphore before handing each
+    connection to a thread pool; the request releases it when the
+    handler finishes.  Excess clients wait in the TCP backlog —
+    bounded memory under a scrape storm, and ``shutdown()`` has at
+    most ``max_threads`` handlers to wait out.  The pool starts a
+    thread only when no started one is idle, so none starts before the
+    first request and a connection rarely pays for a new thread.
     """
-
-    # Wait for in-flight request threads on server_close(): this is
-    # what makes stop-while-scraping clean rather than racy.
-    daemon_threads = True
-    block_on_close = True
 
     def __init__(self, address, handler, max_threads=DEFAULT_MAX_THREADS):
         if max_threads < 1:
@@ -146,20 +148,36 @@ class _BoundedThreadingHTTPServer(ThreadingHTTPServer):
         self.max_threads = max_threads
         self._slots = threading.BoundedSemaphore(max_threads)
         super().__init__(address, handler)
+        self._pool = ThreadPoolExecutor(
+            max_workers=max_threads,
+            thread_name_prefix="tee-perf-http-request",
+        )
 
     def process_request(self, request, client_address):
         self._slots.acquire()
         try:
-            super().process_request(request, client_address)
+            self._pool.submit(self._serve, request, client_address)
         except BaseException:
             self._slots.release()
             raise
 
-    def process_request_thread(self, request, client_address):
+    def _serve(self, request, client_address):
+        """One request on a pool thread (what ThreadingMixIn's
+        per-request thread runs)."""
         try:
-            super().process_request_thread(request, client_address)
+            self.finish_request(request, client_address)
+        except Exception:
+            self.handle_error(request, client_address)
         finally:
+            self.shutdown_request(request)
             self._slots.release()
+
+    def server_close(self):
+        """Close the socket, then let in-flight handlers finish and
+        join the request threads: this is what makes
+        stop-while-scraping clean rather than racy."""
+        super().server_close()
+        self._pool.shutdown(wait=True)
 
 
 class MonitorServer:
@@ -220,7 +238,7 @@ class MonitorServer:
         if httpd is None:
             return
         httpd.shutdown()  # returns once the accept loop exits
-        httpd.server_close()  # block_on_close: joins request threads
+        httpd.server_close()  # joins the request threads
         thread.join()
 
     def __enter__(self):

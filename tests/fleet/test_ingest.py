@@ -57,6 +57,54 @@ def test_shm_fast_path_lands_identically(served, baseline_session):
     )
 
 
+def test_shm_unavailable_falls_back_inline_and_is_counted(
+    served, baseline_session, monkeypatch, caplog
+):
+    """An OSError staging the block (no usable /dev/shm) sends the
+    segment inline; the client counts the fallback by exception type
+    and logs it."""
+    daemon, listener = served
+
+    def no_shm(data):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(protocol, "_shm_create", no_shm)
+    with FleetClient(listener.address).open(
+        "web", baseline_session["symtab"], session="shm-2"
+    ) as client:
+        with caplog.at_level("WARNING", logger="repro.fleet"):
+            ack = client.publish(
+                baseline_session["log_bytes"], via_shm=True
+            )
+        assert ack["accepted"] == len(baseline_session["log_bytes"])
+        assert client.shm_fallbacks == {"OSError": 1}
+        assert client.segments_sent == 1
+    assert "publishing inline: OSError" in caplog.text
+    daemon.drain()
+    assert daemon.profile("web").total_exclusive() == (
+        baseline_session["ticks"]
+    )
+
+
+def test_shm_programming_error_propagates(served, baseline_session,
+                                          monkeypatch):
+    """Only "no shared memory here" falls back: any other error while
+    staging the block is a fault and propagates, with nothing sent."""
+    _, listener = served
+
+    def broken(data):
+        raise TypeError("a bug, not a missing /dev/shm")
+
+    monkeypatch.setattr(protocol, "_shm_create", broken)
+    with FleetClient(listener.address).open(
+        "web", baseline_session["symtab"], session="shm-3"
+    ) as client:
+        with pytest.raises(TypeError, match="a bug"):
+            client.publish(baseline_session["log_bytes"], via_shm=True)
+        assert not client.shm_fallbacks
+        assert client.segments_sent == 0
+
+
 def test_segment_before_hello_is_refused(served, baseline_session):
     _, listener = served
     client = FleetClient(listener.address)

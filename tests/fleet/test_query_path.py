@@ -5,7 +5,8 @@ import sys
 import threading
 import time
 
-from repro.fleet import WindowStore
+from repro.core.flamegraph import FlameGraph
+from repro.fleet import PathTable, WindowStore, WindowSummary
 
 A = ("app::Main()", "app::Parse()")
 B = ("app::Main()", "app::Process()")
@@ -121,6 +122,96 @@ def test_racing_first_renders_agree_under_ingest():
     assert not writer.is_alive()
     assert not any(reader.is_alive() for reader in readers)
     assert results == [expected] * len(readers)
+
+
+def test_renders_race_ingest_that_grows_the_table():
+    """Readers render new and old snapshots while a writer keeps
+    adding paths, so the table's memoised lines are extended by racing
+    readers (a slow one may publish a shorter memo than another's
+    last).  Every text equals the one its snapshot's own folded dict
+    gives."""
+    store = make_store()
+    stop = threading.Event()
+    mismatches, renders = [], []
+
+    def ingest():
+        for i in range(400):
+            leaf = (f"app::Leaf{i % 7}()",) * (1 + i % 3)
+            store.add("web", {A + leaf + (f"app::F{i}()",): 1 + i},
+                      ts=1.0)
+        stop.set()
+
+    def check(profile):
+        text = profile.to_folded()
+        renders.append(len(profile))
+        if text != FlameGraph(profile.folded()).to_folded():
+            mismatches.append(len(profile))
+
+    def render():
+        late = None  # every other snapshot renders after the table grew
+        while not stop.is_set():
+            snapshot = store.merged("web")
+            if late is None:
+                late = snapshot
+            else:
+                check(snapshot)
+                check(late)
+                late = None
+        if late is not None:
+            check(late)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        readers = [threading.Thread(target=render) for _ in range(4)]
+        for reader in readers:
+            reader.start()
+        writer = threading.Thread(target=ingest)
+        writer.start()
+        writer.join(timeout=60)
+        stop.set()
+        for reader in readers:
+            reader.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not writer.is_alive()
+    assert not any(reader.is_alive() for reader in readers)
+    assert renders
+    assert not mismatches
+
+
+class _RacedTable(PathTable):
+    """A table on which another reader publishes its stale memo right
+    after each publish: one that sized its lines before the table grew
+    and stored them last."""
+
+    __slots__ = ("stale",)
+
+    @property
+    def _lines(self):
+        return PathTable._lines.__get__(self)
+
+    @_lines.setter
+    def _lines(self, lines):
+        PathTable._lines.__set__(self, lines)
+        stale = getattr(self, "stale", None)
+        if stale is not None:
+            PathTable._lines.__set__(self, stale)
+
+
+def test_a_shorter_memo_published_meanwhile_drops_no_line():
+    """A render reads the lines it was handed, not the table's
+    attribute, which a racing reader may have just set back to a
+    shorter memo."""
+    table = _RacedTable()
+    window = WindowSummary(0, table=table)
+    window.absorb({A: 5}, {})
+    table.stale = table.folded_lines(len(table))
+    window.absorb({B: 7, C: 1}, {})
+    assert window.profile().to_folded() == (
+        FlameGraph(window.folded).to_folded()
+    )
+    assert table.folded_lines(0) is table.stale  # it did race
 
 
 # ----------------------------------------------------------------------

@@ -8,9 +8,11 @@ total ticks (and the salvage accounting) never change.
 
 import pytest
 
+from repro.core import flamegraph
 from repro.fleet import (
     FoldedProfile,
     OTHER_BUCKET,
+    PathTable,
     WindowStore,
     WindowSummary,
 )
@@ -189,6 +191,61 @@ def test_diff_svg_draws_snapshots_from_their_path_table(monkeypatch):
 
     monkeypatch.setattr(ArrayProfile, "folded", no_dicts)
     assert store.diff("web", 0, 1).flamegraph().to_svg() == expected
+
+
+def test_path_table_keeps_its_folded_lines_in_name_order():
+    """The table's line stems and name order are extended, and
+    re-sorted, only when it grows; a memo is never changed once
+    handed out.  The order is the name tuples' (``("foo", "bar")``
+    before ``("foo(int, int)",)``), which the joined stems would get
+    wrong (``"(" < ";"``)."""
+    table = PathTable()
+    for path in [("foo(int, int)",), ("foo", "bar"), ("b",)]:
+        table.path_id(path)
+    lines = table.folded_lines(len(table))
+    assert [lines.stems[pid] for pid in lines.order] == [
+        "b", "foo", "foo;bar", "foo(int, int)",
+    ]
+    assert table.folded_lines(2) is lines  # not grown: the same memo
+    table.path_id(("a", "z"))
+    grown = table.folded_lines(len(table))
+    assert [grown.stems[pid] for pid in grown.order] == [
+        "a", "a;z", "b", "foo", "foo;bar", "foo(int, int)",
+    ]
+    assert len(lines.order) == 4  # the old memo is unchanged
+    assert table.folded_lines(3) is grown
+
+
+def test_snapshot_folded_text_renders_from_the_table_lines(monkeypatch):
+    """A snapshot's folded text reads its tenant table's memoised
+    lines: once they cover the table, rendering a new snapshot builds
+    no stems and sorts nothing, and an old snapshot rendered after the
+    table grew still shows only its own paths."""
+    store = WindowStore(window_seconds=60.0)
+    store.add("web", {A: 5, C: 1}, ts=0.0)
+    old = store.merged("web")
+    store.add("web", {B: 7, ("app::Aux()",): 2}, ts=1.0)
+    store.merged("web").to_folded()  # the lines now cover the table
+    store.add("web", {A: 1}, ts=2.0)  # no new path
+    built = []
+    build = flamegraph.folded_lines
+    monkeypatch.setattr(
+        flamegraph, "folded_lines",
+        lambda *args: built.append(args) or build(*args),
+    )
+    monkeypatch.setattr(
+        "repro.fleet.windows._folded_lines", flamegraph.folded_lines
+    )
+    assert store.merged("web").to_folded() == (
+        "app::Aux() 2\n"
+        "app::Main() 1\n"
+        "app::Main();app::Parse() 6\n"
+        "app::Main();app::Process() 7\n"
+    )
+    assert old.to_folded() == (
+        "app::Main() 1\napp::Main();app::Parse() 5\n"
+    )
+    assert built == []
 
 
 def test_store_errors_name_what_exists():

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.diff import AnalysisDiff
+from repro.core.flamegraph import FlameGraph
 from repro.fleet import (
     DictWindowSummary,
     OTHER_BUCKET,
@@ -191,6 +192,51 @@ def test_store_merged_matches_dict_merge_loop(ingests):
     )
     totals = store.totals()
     assert totals["merged_cache_hits"] >= len(ingests)
+
+
+def oracle_text(folded):
+    """The folded text of a ``{path: ticks}`` dict, by the dict
+    graph's own lines and by the tree fold."""
+    if not any(t > 0 for t in folded.values()):
+        return ""
+    graph = FlameGraph(folded)
+    text = graph.to_folded()
+    assert text == tree_folded(graph)
+    return text
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.lists(
+    st.tuples(folded_dicts, st.booleans(), st.booleans()),
+    min_size=1, max_size=12,
+))
+def test_snapshots_render_from_the_growing_table(ingests):
+    """Snapshots render their folded text from their tenant table's
+    memoised lines, which grow and re-sort as ingest adds paths in any
+    order.  Every snapshot — merged or one window's, rendered at once
+    or only after the table grew under it — equals the folded text of
+    the dict oracle's ``FlameGraph(folded)``."""
+    store = WindowStore(window_seconds=60.0, retention=64,
+                        max_paths=4096)
+    oracle = {}  # wid -> DictWindowSummary
+    late = []
+    for i, (folded, merged, render_now) in enumerate(ingests):
+        wid = store.add("web", folded, ts=60.0 * (i // 2))
+        oracle.setdefault(wid, DictWindowSummary(wid)).absorb(folded, {})
+        if merged:
+            snapshot = store.merged("web")
+            expected = DictWindowSummary("merged")
+            for summary in oracle.values():
+                expected.merge(summary)
+        else:
+            snapshot, expected = store.profile("web", wid), oracle[wid]
+        text = oracle_text(expected.folded)
+        if render_now and i:  # the first snapshot always renders late
+            assert snapshot.to_folded() == text
+        else:
+            late.append((snapshot, text))
+    for snapshot, text in late:
+        assert snapshot.to_folded() == text
 
 
 @settings(deadline=None, max_examples=60)

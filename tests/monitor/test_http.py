@@ -70,7 +70,8 @@ def test_healthz_and_404(served):
     assert (status, body) == (200, b"ok\n")
     with pytest.raises(urllib.error.HTTPError) as excinfo:
         fetch(server, "/nope")
-    assert excinfo.value.code == 404
+    with excinfo.value as err:  # an HTTPError holds the response open
+        assert err.code == 404
 
 
 def test_404_body_is_json_naming_the_routes(served):
@@ -78,9 +79,9 @@ def test_404_body_is_json_naming_the_routes(served):
     _, server = served
     with pytest.raises(urllib.error.HTTPError) as excinfo:
         fetch(server, "/definitely/not/here")
-    err = excinfo.value
-    assert err.headers.get("Content-Type") == "application/json"
-    payload = json.loads(err.read())
+    with excinfo.value as err:
+        assert err.headers.get("Content-Type") == "application/json"
+        payload = json.loads(err.read())
     assert payload["status"] == 404
     assert "/definitely/not/here" in payload["error"]
     assert "/metrics" in payload["routes"]
@@ -197,3 +198,69 @@ def test_server_context_manager_and_restart():
     second = server.start()
     assert second != 0
     server.stop()
+
+
+def _recording_server(max_threads, fail=lambda: False):
+    """A server whose ``/snapshot.json`` records the thread serving it
+    (and raises while `fail()` says so)."""
+    import threading
+
+    monitor = Monitor()
+    served_by = []
+
+    def snapshot(window_seconds=None):
+        served_by.append(threading.current_thread())
+        if fail():
+            raise RuntimeError("route blew up")
+        return {"metrics": {}, "windows": {}, "alerts": []}
+
+    monitor.snapshot = snapshot
+    return MonitorServer(monitor, port=0, max_threads=max_threads), served_by
+
+
+def test_request_threads_are_reused():
+    """Sequential requests are served by at most ``max_threads``
+    threads, started on demand (none with the server) and still alive
+    to serve the next request; stop() joins them."""
+    import threading
+
+    before = set(threading.enumerate())
+    server, served_by = _recording_server(max_threads=3)
+    server.start()
+    try:
+        started = set(threading.enumerate()) - before
+        assert len(started) == 1  # the accept loop, no request thread
+        for _ in range(50):
+            assert fetch(server, "/snapshot.json")[0] == 200
+        threads = set(served_by)
+        assert len(served_by) == 50
+        assert 1 <= len(threads) <= 3
+        assert all(t.is_alive() for t in threads)
+        assert not threads & before
+    finally:
+        server.stop()
+    assert not any(t.is_alive() for t in threads)
+
+
+def test_a_raising_route_keeps_its_thread():
+    """A route that raises answers its JSON 500, and the one request
+    thread goes on to serve the requests after it."""
+    failing = {"now": False}
+    server, served_by = _recording_server(
+        max_threads=1, fail=lambda: failing["now"]
+    )
+    with server:
+        assert fetch(server, "/snapshot.json")[0] == 200
+        failing["now"] = True
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            fetch(server, "/snapshot.json")
+        with excinfo.value as err:
+            assert err.code == 500
+            payload = json.loads(err.read())
+        assert payload["exception"] == "RuntimeError"
+        failing["now"] = False
+        for _ in range(3):
+            assert fetch(server, "/snapshot.json")[0] == 200
+        assert len(served_by) == 5
+        assert len(set(served_by)) == 1
+        assert served_by[0].is_alive()
