@@ -263,15 +263,15 @@ def cmd_flamegraph(args):
             if not line:
                 continue
             stack, _, count = line.rpartition(" ")
-            if not stack or not count.isdigit():
-                print(
-                    f"{args.folded}:{lineno}: not a folded-stacks line",
-                    file=sys.stderr,
-                )
+            if not stack or not (count.isascii() and count.isdigit()):
+                print(f"{args.folded}:{lineno}: not a folded-stacks line",
+                      file=sys.stderr)
                 return 1
-            folded[tuple(stack.split(";"))] = folded.get(
-                tuple(stack.split(";")), 0
-            ) + int(count)
+            path = tuple(stack.split(";"))
+            folded[path] = folded.get(path, 0) + int(count)
+    if not any(folded.values()):
+        print(f"{args.folded}: nothing to draw", file=sys.stderr)
+        return 1
     graph = FlameGraph(folded, title=args.title)
     graph.write_svg(args.output, width=args.width)
     print(f"wrote {args.output} ({graph.total_ticks()} total ticks)")
@@ -610,6 +610,16 @@ def cmd_explore(args):
     return 0 if report.ok else 1
 
 
+def _svg_width(text):
+    """``--width``: whole pixels, wider than the SVG's two 10-px
+    margins."""
+    if not (text.isascii() and text.isdigit()) or int(text) <= 20:
+        raise argparse.ArgumentTypeError(
+            f"expected a whole number of pixels above 20, got {text!r}"
+        )
+    return int(text)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="tee-perf",
@@ -713,7 +723,7 @@ def build_parser():
     flame.add_argument("folded", help="folded-stacks text file")
     flame.add_argument("-o", "--output", default="flamegraph.svg")
     flame.add_argument("--title", default="TEE-Perf Flame Graph")
-    flame.add_argument("--width", type=int, default=1200)
+    flame.add_argument("--width", type=_svg_width, default=1200)
     flame.set_defaults(fn=cmd_flamegraph)
 
     demo = sub.add_parser("demo", help="run a small simulated profile")

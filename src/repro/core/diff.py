@@ -168,15 +168,14 @@ class AnalysisDiff:
                 _graph(self.before)
             )
         after_incl = _inclusive_shares(after_graph)
-        root = after_graph.root
 
-        def palette(node):
-            if node is root:
+        def palette(name, level):
+            if level == 0:
                 return "rgb(212,212,212)"  # the whole run: unchanged
-            before = before_incl.get(node.name)
+            before = before_incl.get(name)
             if before is None:
                 return "rgb(230,60,60)"  # new code: strong red
-            drift = after_incl.get(node.name, 0.0) - before
+            drift = after_incl.get(name, 0.0) - before
             if abs(drift) < 0.005:
                 return "rgb(212,212,212)"  # unchanged: grey
             intensity = min(1.0, abs(drift) * 4)
@@ -200,8 +199,8 @@ def _graph(profile, title="TEE-Perf Flame Graph"):
 
 def _inclusive_shares(graph):
     """Summed inclusive share per frame name across the whole graph
-    (the graph memoises the underlying totals, so the walk happens at
-    most once per graph)."""
+    (the graph memoises the underlying totals, so its paths are summed
+    at most once per graph)."""
     total = graph.total_ticks()
     return {
         name: value / total

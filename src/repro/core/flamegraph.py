@@ -12,9 +12,9 @@ of the analyzer; ours is bigger only because it writes the SVG itself.
 A flame graph *is* a path table: ``(parent, method)`` nodes, parents
 before children, the method names, and each path's exclusive ticks —
 the shape the analyzer's columns and the fleet's interned tables
-already hold.  Folded text renders straight from the table; the node
-tree is built on first use, and only layout needs it (the SVG,
-:meth:`FlameGraph.frames` and the inclusive shares).
+already hold.  Folded text and the SVG's layout both walk the paths in
+name-tuple order, which is the preorder of a walk that visits children
+by name; no node tree is built.
 """
 
 import html
@@ -101,12 +101,11 @@ class FlameGraph:
         positive ticks draw nothing, matching the folded-dict
         construction exactly.  ``lines`` are the table's
         :class:`FoldedLines` over at least ``len(paths)`` paths, when
-        the caller keeps them; :meth:`to_folded` then renders from
-        them instead of building its own.
+        the caller keeps them; the folded text and the layout then
+        read them instead of building their own.
         """
         self = cls.__new__(cls)
-        self._adopt(paths, methods, ticks, title)
-        self._lines = lines
+        self._adopt(paths, methods, ticks, title, lines)
         return self
 
     @classmethod
@@ -118,70 +117,80 @@ class FlameGraph:
         _np.add.at(sums, cols.path_id[mask], cols.exclusive[mask])
         return cls.from_path_table(cols.paths, cols.methods, sums, title)
 
-    def _adopt(self, paths, methods, ticks, title):
+    def _adopt(self, paths, methods, ticks, title, lines=None):
         ticks = ticks.tolist() if hasattr(ticks, "tolist") else ticks
         total = sum(t for t in ticks if t > 0)
         if not total:
             raise ValueError("empty profile: nothing to draw")
         self.title = title
-        self.palette = None  # optional node -> css colour override
+        self.palette = None  # optional (name, level) -> css colour
         self._paths = paths
         self._methods = methods
         self._ticks = ticks
         self._total = total
-        self._root = None
+        self._totals = None  # each path's inclusive ticks
         self._inclusive = None
-        self._lines = None
+        self._lines = lines
 
     # ------------------------------------------------------------------
 
-    @property
-    def root(self):
-        """The node tree under the synthetic root ``all``, built from
-        the table on first use: one backward pass sums each path's
-        subtree ticks onto its parent (parents precede children), and
-        one forward pass makes a node of every path with time in it."""
-        root = self._root
-        if root is None:
-            paths, methods = self._paths, self._methods
-            own = [t if t > 0 else 0 for t in self._ticks]
-            totals = own[:]
+    def _path_totals(self):
+        """Each path's inclusive ticks, memoised: one backward pass,
+        since parents precede children."""
+        if self._totals is None:
+            paths = self._paths
+            totals = [t if t > 0 else 0 for t in self._ticks]
             for pid in range(len(totals) - 1, -1, -1):
                 parent = paths[pid][0]
                 if parent >= 0:
                     totals[parent] += totals[pid]
-            root = _Node("all", 0, self._total)
-            nodes = []
-            for (parent, mid), self_ticks, total in zip(paths, own, totals):
-                node = None
-                if total > 0:
-                    node = _Node(methods[mid], self_ticks, total)
-                    above = nodes[parent] if parent >= 0 else root
-                    above.children[node.name] = node
-                nodes.append(node)
-            self._root = root
-        return root
+            self._totals = totals
+        return self._totals
+
+    def _folded_lines(self):
+        """The lines handed in, else this graph's own, built once."""
+        if self._lines is None:
+            self._lines = folded_lines(
+                self._paths, self._methods, len(self._ticks)
+            )
+        return self._lines
 
     def total_ticks(self):
         return self._total
 
     def frames(self):
-        """Iterate (depth, start, node) over the laid-out graph."""
-        yield from self.root.walk(0, 0)
+        """Iterate ``(level, start, name, self_ticks, total)`` over the
+        laid-out graph: the synthetic root ``all`` first, then every
+        path with time in it in name-tuple order.  A frame's level is
+        its path's length, and it starts where its parent's next child
+        starts (children from the parent's start, self ticks last)."""
+        yield 0, 0, "all", 0, self._total
+        ticks, totals = self._ticks, self._path_totals()
+        paths, methods = self._paths, self._methods
+        lines, n = self._folded_lines(), len(ticks)
+        # Each path's next child's start; the root's is the last slot,
+        # which a top-level path's parent, -1, reads.
+        next_start = [0] * (n + 1)
+        for pid in lines.order:
+            if pid < n and totals[pid]:
+                parent, mid = paths[pid]
+                start = next_start[pid] = next_start[parent]
+                next_start[parent] = start + totals[pid]
+                yield (len(lines.names[pid]), start, methods[mid],
+                       max(ticks[pid], 0), totals[pid])
 
     def inclusive_totals(self):
         """Summed inclusive ticks per frame name across the whole
-        graph, memoised — the tree is immutable once built, so one
-        walk serves every ``share()`` call and the differential
-        palette.  The synthetic root is no frame."""
+        graph, over the paths with time in them, memoised — one pass
+        serves every ``share()`` call and the differential palette.
+        The synthetic root is no frame."""
         if self._inclusive is None:
-            root = self.root
-            totals = {}
-            for _, _, node in self.frames():
-                if node is not root:
-                    name = node.name
-                    totals[name] = totals.get(name, 0) + node.total
-            self._inclusive = totals
+            methods, by_name = self._methods, {}
+            for (_, mid), total in zip(self._paths, self._path_totals()):
+                if total:
+                    name = methods[mid]
+                    by_name[name] = by_name.get(name, 0) + total
+            self._inclusive = by_name
         return self._inclusive
 
     def share(self, name):
@@ -196,9 +205,7 @@ class FlameGraph:
         more paths than this graph's), else from its own."""
         ticks = self._ticks
         n = len(ticks)
-        lines = self._lines
-        if lines is None:
-            lines = folded_lines(self._paths, self._methods, n)
+        lines = self._folded_lines()
         stems = lines.stems
         return "".join([
             f"{stems[pid]} {ticks[pid]}\n"
@@ -213,10 +220,10 @@ class FlameGraph:
 
     def to_svg(self, width=1200, frame_height=17, min_width_px=0.3):
         """A standalone SVG rendering of the graph."""
-        root = self.root
-        depth = root.depth()
+        frames = list(self.frames())
+        depth = max(level for level, *_ in frames) + 1
         height = (depth + 1) * frame_height + 60
-        scale = (width - 20) / root.total
+        scale = (width - 20) / self._total
         parts = [
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
             f'height="{height}" font-family="monospace" font-size="12">',
@@ -224,22 +231,22 @@ class FlameGraph:
             f'<text x="{width / 2}" y="24" text-anchor="middle" '
             f'font-size="16">{html.escape(self.title)}</text>',
         ]
-        for level, start, node in self.frames():
-            w = node.total * scale
+        for level, start, name, self_ticks, total in frames:
+            w = total * scale
             if w < min_width_px:
                 continue
             x = 10 + start * scale
             y = height - 30 - (level + 1) * frame_height
             color = (
-                self.palette(node) if self.palette else _color(node.name)
+                self.palette(name, level) if self.palette else _color(name)
             )
-            pct = 100 * node.total / root.total
-            label = node.name if w > 8 * len(node.name) * 0.65 else (
-                node.name[: max(0, int(w / 7) - 2)] + ".." if w > 30 else ""
+            pct = 100 * total / self._total
+            label = name if w > 8 * len(name) * 0.65 else (
+                name[: max(0, int(w / 7) - 2)] + ".." if w > 30 else ""
             )
             tooltip = (
-                f"{node.name}: {node.total} ticks "
-                f"({pct:.2f}%), self {node.self_ticks}"
+                f"{name}: {total} ticks "
+                f"({pct:.2f}%), self {self_ticks}"
             )
             parts.append(
                 f'<g><title>{html.escape(tooltip)}</title>'
@@ -254,29 +261,6 @@ class FlameGraph:
     def write_svg(self, path, **kwargs):
         with open(path, "w") as fh:
             fh.write(self.to_svg(**kwargs))
-
-
-class _Node:
-    __slots__ = ("name", "self_ticks", "total", "children")
-
-    def __init__(self, name, self_ticks, total):
-        self.name = name
-        self.self_ticks = self_ticks
-        self.total = total
-        self.children = {}
-
-    def depth(self):
-        if not self.children:
-            return 1
-        return 1 + max(child.depth() for child in self.children.values())
-
-    def walk(self, level, start):
-        yield level, start, self
-        offset = start
-        for name in sorted(self.children):
-            child = self.children[name]
-            yield from child.walk(level + 1, offset)
-            offset += child.total
 
 
 def _color(name):

@@ -1,5 +1,7 @@
 """Tests for differential profiling (the before/after workflow)."""
 
+import sys
+
 import pytest
 
 from repro.api import Analyzer, SharedLog
@@ -17,7 +19,8 @@ def build_analysis(spans):
     def addr(name):
         return image.symtab.by_name(name).addr
 
-    log = SharedLog.create(256, profiler_addr=image.profiler_addr)
+    log = SharedLog.create(max(256, 2 * len(spans)),
+                           profiler_addr=image.profiler_addr)
     events = []
     for name, enter, exit_ in spans:
         events.append((enter, KIND_CALL, name))
@@ -85,7 +88,8 @@ def test_differential_flamegraph_colours(before, after):
     assert "io" in svg
     assert "getpid" not in svg
     colors = {
-        node.name: graph.palette(node) for _, _, node in graph.frames()
+        name: graph.palette(name, level)
+        for level, _, name, _, _ in graph.frames()
     }
     red = colors["io"]
     r, g, b = (int(x) for x in red[4:-1].split(","))
@@ -107,9 +111,27 @@ def test_differential_root_is_grey_and_an_empty_before_is_all_new(after):
     frame of the after graph is new code."""
     graph = AnalysisDiff(build_analysis([]), after).flamegraph()
     colors = {
-        node.name: graph.palette(node) for _, _, node in graph.frames()
+        name: graph.palette(name, level)
+        for level, _, name, _, _ in graph.frames()
     }
     assert colors.pop("all") == "rgb(212,212,212)"
     assert set(colors) == {"main", "io"}
     assert set(colors.values()) == {"rgb(230,60,60)"}
+    # A frame named ``all`` is a frame, not the root.
+    assert graph.palette("all", 1) == "rgb(230,60,60)"
     assert graph.to_svg().startswith("<svg")
+
+
+def test_a_path_deeper_than_the_recursion_limit_diffs(before):
+    """``main`` and then ``walk`` calling itself deeper than the
+    recursion limit: the differential graph draws every frame."""
+    depth = sys.getrecursionlimit() + 500
+    end = 4 * depth
+    deep = build_analysis(
+        [("main", 0, end)]
+        + [("walk", i, end - i) for i in range(1, depth + 1)]
+    )
+    graph = AnalysisDiff(before, deep).flamegraph()
+    svg = graph.to_svg()
+    assert svg.count("<rect ") == depth + 3  # background, root, frames
+    assert graph.share("walk") > depth / 2

@@ -1,5 +1,8 @@
 """Unit tests for the Flame Graph writer (stage 4)."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -7,9 +10,16 @@ from hypothesis import strategies as st
 
 from repro.api import Analyzer, FlameGraph, SharedLog
 from repro.core import KIND_CALL, KIND_RET
+from repro.core.flamegraph import folded_lines
 from repro.symbols import BinaryImage
-from tests.oracles.flamegraph import tree_folded
+from tests.oracles.flamegraph import (
+    tree_folded,
+    tree_frames,
+    tree_inclusive_totals,
+)
 from tests.oracles.per_event import append
+
+OUT = Path(__file__).resolve().parents[2] / "benchmarks" / "out"
 
 
 @pytest.fixture
@@ -25,11 +35,15 @@ def folded():
 def test_totals_nest(folded):
     graph = FlameGraph(folded)
     assert graph.total_ticks() == 200
-    frames = {node.name: node for _, _, node in graph.frames()}
-    assert frames["main"].total == 200
-    assert frames["io"].total == 80
-    assert frames["read"].total == 50
-    assert frames["main"].self_ticks == 10
+    # (level, start, name, self ticks, total): children by name, each
+    # starting where its previous sibling ends.
+    assert list(graph.frames()) == [
+        (0, 0, "all", 0, 200),
+        (1, 0, "main", 10, 200),
+        (2, 0, "compute", 110, 110),
+        (2, 110, "io", 30, 80),
+        (3, 110, "read", 50, 50),
+    ]
 
 
 def test_share(folded):
@@ -89,8 +103,8 @@ def test_zero_tick_paths_ignored():
 def test_depth_layout_offsets_are_disjoint(folded):
     graph = FlameGraph(folded)
     by_level = {}
-    for level, start, node in graph.frames():
-        by_level.setdefault(level, []).append((start, start + node.total))
+    for level, start, _, _, total in graph.frames():
+        by_level.setdefault(level, []).append((start, start + total))
     for level, spans in by_level.items():
         spans.sort()
         for (a_start, a_end), (b_start, _) in zip(spans, spans[1:]):
@@ -98,7 +112,8 @@ def test_depth_layout_offsets_are_disjoint(folded):
 
 
 # ----------------------------------------------------------------------
-# The path table: folded text without a tree, and the synthetic root
+# The path table: folded text and layout from one set of lines, and the
+# synthetic root
 
 
 def test_folded_text_needs_no_tree(folded):
@@ -107,9 +122,12 @@ def test_folded_text_needs_no_tree(folded):
         "main 10\nmain;compute 110\nmain;io 30\nmain;io;read 50\n"
     )
     assert graph.total_ticks() == 200
-    assert graph._root is None  # rendered from the table alone
+    assert graph._totals is None  # folded from the table alone
+    lines = graph._lines
     assert graph.share("io") == pytest.approx(80 / 200)
-    assert graph._root is not None  # a share lays the tree out
+    assert graph._totals is not None  # a share sums the paths once
+    graph.to_svg()
+    assert graph._lines is lines  # the layout reads the same lines
 
 
 def test_a_frame_named_all_is_not_the_root():
@@ -153,13 +171,14 @@ def test_path_table_graph_equals_the_dict_graph():
         "main 10\nmain;io;read 50\n"
     )
     assert table.to_svg() == folded.to_svg()
-    assert [(d, s, n.name) for d, s, n in table.frames()] == [
-        (d, s, n.name) for d, s, n in folded.frames()
-    ]
+    assert list(table.frames()) == list(folded.frames())
+    assert table.inclusive_totals() == folded.inclusive_totals() == {
+        "main": 60, "io": 50, "read": 50,
+    }
 
 
 frame_names = st.one_of(
-    st.sampled_from(["all", "main", "io", "a b", ""]),
+    st.sampled_from(["all", "main", "io", "a b", "", '<&"x">']),
     st.text(
         st.characters(exclude_characters=";\n",
                       exclude_categories=("Cs",)),
@@ -189,3 +208,92 @@ def test_folded_text_parses_back_to_the_positive_entries(folded):
     assert list(parsed) == sorted(parsed)  # a prefix before its extensions
     assert sum(parsed.values()) == graph.total_ticks()
     assert text == tree_folded(graph)
+    assert list(graph.frames()) == tree_frames(graph)
+    assert graph.inclusive_totals() == tree_inclusive_totals(graph)
+
+
+@st.composite
+def path_tables(draw):
+    """A path table — parents before children, no two children of one
+    parent named alike — with zero, negative and positive ticks, and
+    how many of its first paths a graph takes."""
+    methods = draw(st.lists(frame_names, min_size=1, max_size=6,
+                            unique=True))
+    paths, taken = [], set()
+    for _ in range(draw(st.integers(1, 16))):
+        node = (draw(st.integers(-1, len(paths) - 1)),
+                draw(st.integers(0, len(methods) - 1)))
+        if node not in taken:
+            taken.add(node)
+            paths.append(node)
+    ticks = draw(st.lists(
+        st.one_of(st.just(0), st.integers(-5, -1), st.integers(1, 10**6)),
+        min_size=len(paths), max_size=len(paths),
+    ))
+    n = draw(st.integers(1, len(paths)))
+    return paths, methods, ticks, n
+
+
+@settings(deadline=None, max_examples=300)
+@given(path_tables(), st.booleans())
+def test_table_layout_equals_the_tree_walk(table, whole_table_lines):
+    """A graph over the first `n` paths of a table — handed the lines
+    of the whole table, as a fleet snapshot is, or building its own —
+    lays out, sums and folds exactly as the tree walk does."""
+    paths, methods, ticks, n = table
+    assume(any(t > 0 for t in ticks[:n]))
+    lines = None
+    if whole_table_lines:
+        lines = folded_lines(paths, methods, len(paths))
+    graph = FlameGraph.from_path_table(
+        paths[:n], methods, np.array(ticks[:n], dtype=np.int64),
+        lines=lines,
+    )
+    assert list(graph.frames()) == tree_frames(graph)
+    assert graph.inclusive_totals() == tree_inclusive_totals(graph)
+    assert graph.to_folded() == tree_folded(graph)
+    for name, total in graph.inclusive_totals().items():
+        assert graph.share(name) == total / graph.total_ticks()
+
+
+# ----------------------------------------------------------------------
+# Layout: the committed figures, and call paths deeper than the
+# interpreter's recursion limit
+
+
+def _read_folded(path):
+    folded = {}
+    for line in path.read_text().splitlines():
+        stack, _, ticks = line.rpartition(" ")
+        folded[tuple(stack.split(";"))] = int(ticks)
+    return folded
+
+
+@pytest.mark.parametrize("stem, svg, title", [
+    ("fig5_rocksdb", "fig5_rocksdb_flamegraph.svg",
+     "Figure 5 — RocksDB db_bench in SGX (TEE-Perf)"),
+    ("fig6_spdk_unoptimized", "fig6_spdk_unoptimized.svg",
+     "Figure 6 (top) — unoptimized SPDK in SGX"),
+    ("fig6_spdk_optimized", "fig6_spdk_optimized.svg",
+     "Figure 6 (bottom) — optimized SPDK in SGX"),
+], ids=["fig5", "fig6-top", "fig6-bottom"])
+def test_committed_figures_redraw_byte_for_byte(stem, svg, title):
+    """The Fig. 5/6 flame graphs, redrawn from their committed folded
+    stacks with the benches' titles, are the committed SVGs."""
+    graph = FlameGraph(_read_folded(OUT / f"{stem}.folded"), title=title)
+    assert graph.to_folded() == (OUT / f"{stem}.folded").read_text()
+    assert graph.to_svg().encode() == (OUT / svg).read_bytes()
+
+
+def test_a_path_deeper_than_the_recursion_limit_draws():
+    """``main`` and then ``walk`` calling itself, deeper than the
+    interpreter's recursion limit."""
+    path = ("main",) + ("walk",) * (sys.getrecursionlimit() + 500)
+    graph = FlameGraph({path: 3, path[:2]: 1})
+    svg = graph.to_svg()
+    assert svg.count("<rect ") == len(path) + 2  # background, root, frames
+    assert f'height="{(len(path) + 2) * 17 + 60}"' in svg
+    assert graph.share("walk") == pytest.approx(
+        (4 + 3 * (len(path) - 2)) / 4
+    )
+    assert list(graph.frames())[-1] == (len(path), 0, "walk", 3, 3)

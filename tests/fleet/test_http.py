@@ -2,6 +2,7 @@
 
 import json
 import logging
+import sys
 import urllib.error
 import urllib.request
 
@@ -206,6 +207,28 @@ def test_profiles_with_no_positive_tick(served, folded, salvaged):
     payload = expect_error(server, "/profiles/t/diff?a=1&b=0&format=svg",
                            404)
     assert "nothing to draw" in payload["error"]
+
+
+def test_a_path_deeper_than_the_recursion_limit_is_served(served):
+    """Every SVG reply draws a call path deeper than the interpreter's
+    recursion limit: the layout walks the path table, not a tree."""
+    daemon, server = served
+    deep = ("app::Run()",) + ("app::Walk()",) * (
+        sys.getrecursionlimit() + 500
+    )
+    calls = {"app::Run()": 1, "app::Walk()": len(deep) - 1}
+    entries = 2 * len(deep)
+    daemon.store.add("deep", {deep: 3}, calls, entries=entries,
+                     salvaged=entries, ts=0.0)
+    daemon.store.add("deep", {deep: 5, deep[:2]: 1}, calls,
+                     entries=entries, salvaged=entries, ts=90.0)
+    for path in ("/profiles/deep/flamegraph.svg",
+                 "/profiles/deep/flamegraph.svg?window=0",
+                 "/profiles/deep/diff?a=0&b=1&format=svg"):
+        status, ctype, body = fetch(server, path)
+        assert (status, ctype) == (200, "image/svg+xml")
+        # The background, the root and one rectangle per frame.
+        assert body.count(b"<rect ") == len(deep) + 2
 
 
 def test_a_route_that_raises_answers_json_500(served, monkeypatch,

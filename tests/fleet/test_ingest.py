@@ -177,14 +177,14 @@ def test_dirty_hangup_still_closes_the_session(
 
 def test_duplicate_hello_is_refused(served, baseline_session):
     _, listener = served
-    client = FleetClient(listener.address).open(
+    with FleetClient(listener.address).open(
         "web", baseline_session["symtab"]
-    )
-    with pytest.raises(ProtocolError, match="duplicate hello"):
-        client._request({
-            "type": "hello", "tenant": "web", "session": "again",
-            "symtab": baseline_session["symtab"],
-        })
+    ) as client:
+        with pytest.raises(ProtocolError, match="duplicate hello"):
+            client._request({
+                "type": "hello", "tenant": "web", "session": "again",
+                "symtab": baseline_session["symtab"],
+            })
 
 
 def test_listener_lifecycle_and_validation(served):

@@ -36,9 +36,31 @@ def test_flamegraph_from_folded(tmp_path, capsys):
 
 def test_flamegraph_rejects_garbage(tmp_path, capsys):
     folded = tmp_path / "bad.folded"
-    folded.write_text("this is not folded format\n")
-    assert main(["flamegraph", str(folded), "-o", str(tmp_path / "x.svg")]) == 1
-    assert "not a folded-stacks line" in capsys.readouterr().err
+    svg = tmp_path / "x.svg"
+    for text, error in [
+        ("this is not folded format\n", "bad.folded:1: not a folded-stacks"),
+        ("main 3\nmain;io 3\u00b2\n", "bad.folded:2: not a folded-stacks"),
+        ("main \u0663\n", "bad.folded:1: not a folded-stacks"),
+        ("", "bad.folded: nothing to draw"),
+        ("\nmain 0\nmain;io 0\n", "bad.folded: nothing to draw"),
+    ]:
+        folded.write_text(text)
+        assert main(["flamegraph", str(folded), "-o", str(svg)]) == 1
+        assert error in capsys.readouterr().err
+        assert not svg.exists()
+    # Any width up to the two 10-px margins would draw no frame.
+    folded.write_text("main 3\n")
+    for width in ("-50", "0", "20", "3\u00b2", "wide"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["flamegraph", str(folded), "-o", str(svg),
+                  "--width", width])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--width" in err and "above 20" in err
+        assert not svg.exists()
+    assert main(["flamegraph", str(folded), "-o", str(svg),
+                 "--width", "21"]) == 0
+    assert 'width="21"' in svg.read_text()
 
 
 def test_inspect_multithreaded_log(tmp_path, capsys):
